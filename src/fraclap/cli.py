@@ -306,30 +306,25 @@ def _selftest_cases():
 
 
 def cmd_selftest(args):
-    if args.inject_error:
-        constants._SELFTEST_SCALE = 1.0 + 1e-6
-    try:
-        failures = 0
-        ran = 0
-        for name, check in _selftest_cases():
-            if args.filter and args.filter not in name:
-                continue
-            ran += 1
-            try:
-                ok = check()
-            except Exception as exc:       # a crash is a failure, not exit 2
-                ok = False
-                print("%-32s ERROR %s" % (name, exc))
-            print("%-32s %s" % (name, "pass" if ok else "FAIL"))
-            if not ok:
-                failures += 1
-        if ran == 0:
-            print("no self-tests match filter %r" % args.filter)
-            return 1
-        print("%d/%d passed" % (ran - failures, ran))
-        return 1 if failures else 0
-    finally:
-        constants._SELFTEST_SCALE = 1.0
+    failures = 0
+    ran = 0
+    for name, check in _selftest_cases():
+        if args.filter and args.filter not in name:
+            continue
+        ran += 1
+        try:
+            ok = check()
+        except Exception as exc:       # a crash is a failure, not exit 2
+            ok = False
+            print("%-32s ERROR %s" % (name, exc))
+        print("%-32s %s" % (name, "pass" if ok else "FAIL"))
+        if not ok:
+            failures += 1
+    if ran == 0:
+        print("no self-tests match filter %r" % args.filter)
+        return 1
+    print("%d/%d passed" % (ran - failures, ran))
+    return 1 if failures else 0
 
 
 def _add_common(p, fmt_default="csv"):
@@ -412,8 +407,6 @@ def build_parser():
     p = sub.add_parser("selftest", help="run built-in consistency checks")
     p.add_argument("--filter", default=None,
                    help="run only checks whose name contains this string")
-    p.add_argument("--inject-error", action="store_true",
-                   help=argparse.SUPPRESS)
     p.add_argument("--config", default=None, help=argparse.SUPPRESS)
     p.set_defaults(run=cmd_selftest)
 

@@ -1,10 +1,12 @@
 """Closed-form constants for the fractional Laplacian representations.
 
-Everything here is exact analysis: the Euler gamma function (Lanczos),
-the half-angle sine with exact zeros at even integers, the central
-difference weights and their power sums, the unit-sphere angular moment,
-the sine-power radial integral, and the normalization constants tying
-the lattice, singular-integral and regularized forms together.
+Everything here is exact analysis: the Euler gamma function (the
+standard library's math.gamma), the half-angle sine with exact zeros at
+even integers, the central difference weights, their power sums and the
+Richardson-refined even derivative built on them, the unit-sphere
+angular moment, the sine-power radial integral, and the normalization
+constants tying the lattice, singular-integral and regularized forms
+together.
 """
 
 import math
@@ -18,36 +20,11 @@ class DomainError(ValueError):
     """Parameter outside the admissible range of an operation."""
 
 
-# test hook used by the CLI selftest to verify failure detection;
-# leave at 1.0 for all real work
-_SELFTEST_SCALE = 1.0
-
-# Lanczos, g = 7, 9 terms (double precision)
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma(x):
-    """Euler gamma by the Lanczos approximation, reflection for x < 1/2."""
+    """Euler gamma (math.gamma); DomainError at the poles."""
     if x == math.floor(x) and x <= 0.0:
         raise DomainError("gamma pole at non-positive integer %g" % x)
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (x + i)
-    t = x + 7.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def sin_half_pi(alpha):
@@ -71,15 +48,21 @@ def sin_half_pi(alpha):
     return math.sin(0.5 * math.pi * r)
 
 
+def check_order(m):
+    """Raise DomainError unless m is a difference order in 1..20."""
+    if not isinstance(m, int) or m < 1 or m > 20:
+        raise DomainError("m must be an integer in 1..20")
+
+
 def diff_weights(m):
     """Stencil of the even-order difference -(2 - D - D^-1)^m.
 
     Returns offsets -m..m and integer-valued weights: w_0 = -(2m)!/(m!)^2
     and w_(+-p) = (-1)^(p+1) (2m)!/((m+p)!(m-p)!).  Applied to samples
-    u(x + p*h) this is the 2m-th order self-similar building block.
+    u(x + p*h) this is the 2m-th order self-similar building block; times
+    (-1)^(m+1) it is the central difference of order 2m.
     """
-    if not isinstance(m, int) or m < 1 or m > 20:
-        raise DomainError("m must be an integer in 1..20")
+    check_order(m)
     offs = list(range(-m, m + 1))
     fact = math.factorial(2 * m)
     w = []
@@ -93,10 +76,17 @@ def diff_weights(m):
     return np.array(offs), np.array(w, dtype=float)
 
 
-def apply_diff(u, x, h, m):
-    """Evaluate the order-2m difference of a callable at x with step h."""
-    offs, w = diff_weights(m)
-    return sum(wi * u(x + p * h) for p, wi in zip(offs, w))
+def even_deriv(sample, q, h):
+    """q-th derivative at 0 (q even) of a smooth function by central
+    differences at steps h and h/2, Richardson-refined.
+
+    sample maps an array of offsets t to the values g(t).  The error is
+    O(h^4) with a constant set by the higher derivatives of g.
+    """
+    offs, w = diff_weights(q // 2)
+    w = (-1) ** (q // 2 + 1) * w
+    ests = [w @ sample(offs * hh) / hh ** q for hh in (h, 0.5 * h)]
+    return (4.0 * ests[1] - ests[0]) / 3.0
 
 
 def central_diff_power(m, alpha):
@@ -106,8 +96,7 @@ def central_diff_power(m, alpha):
     p^alpha.  For even integer alpha the sum is done in exact integer
     arithmetic, so the interior zeros (alpha/2 < m) come out exactly 0.
     """
-    if not isinstance(m, int) or m < 1 or m > 20:
-        raise DomainError("m must be an integer in 1..20")
+    check_order(m)
     if alpha < 0.0:
         raise DomainError("alpha must be >= 0")
     fact = math.factorial(2 * m)
@@ -200,8 +189,7 @@ def v_integral(m, alpha):
 
 
 def _check_mv(m, alpha):
-    if not isinstance(m, int) or m < 1 or m > 20:
-        raise DomainError("m must be an integer in 1..20")
+    check_order(m)
     if not 0.0 < alpha < 2.0 * m:
         raise DomainError("need 0 < alpha < 2m, got alpha=%g, m=%d"
                           % (alpha, m))
@@ -222,8 +210,7 @@ def c_standard(n, alpha):
     if s == 0.0:
         return 0.0
     return (gamma(0.5 * (alpha + n)) * gamma(alpha + 1.0) * s
-            / (math.pi ** (0.5 * (n + 1)) * gamma(0.5 * (alpha + 1.0)))
-            * _SELFTEST_SCALE)
+            / (math.pi ** (0.5 * (n + 1)) * gamma(0.5 * (alpha + 1.0))))
 
 
 def c_standard_levy(n, alpha):

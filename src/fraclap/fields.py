@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .constants import even_deriv
+
 
 def hermite_poly(q, t):
     """Physicists' Hermite H_q(t), three-term recursion, vectorized."""
@@ -35,6 +37,7 @@ class Field:
 
     n = 1
     wavenumber = None      # set for plane waves
+    max_line_deriv = math.inf   # highest order line_deriv supplies
 
     def __call__(self, pts):
         raise NotImplementedError
@@ -183,6 +186,8 @@ class UserField(Field):
     a certified truncation radius.
     """
 
+    max_line_deriv = 6
+
     def __init__(self, fn, n=1, decay_radius=None, deriv_bound=None):
         self.fn = fn
         self.n = n
@@ -195,22 +200,11 @@ class UserField(Field):
     def line_deriv(self, x, direction, order):
         if order == 0:
             return float(self.on_ray(x, direction, np.array([0.0]))[0])
-        if order > 6 or order % 2:
+        if order > self.max_line_deriv or order % 2:
             raise NotImplementedError(
-                "numeric line derivatives available for even orders <= 6")
-        stencils = {
-            2: [(-1, 1.0), (0, -2.0), (1, 1.0)],
-            4: [(-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)],
-            6: [(-3, 1.0), (-2, -6.0), (-1, 15.0), (0, -20.0),
-                (1, 15.0), (2, -6.0), (3, 1.0)],
-        }
-        ests = []
-        for h in (0.05, 0.025):
-            offs = np.array([o * h for o, _ in stencils[order]])
-            vals = self.on_ray(x, direction, offs)
-            acc = sum(w * v for (_, w), v in zip(stencils[order], vals))
-            ests.append(acc / h ** order)
-        return (4.0 * ests[1] - ests[0]) / 3.0
+                "numeric line derivatives available for even orders <= %d"
+                % self.max_line_deriv)
+        return even_deriv(lambda t: self.on_ray(x, direction, t), order, 0.05)
 
     def sup_line_deriv(self, order):
         if self._bound is None:

@@ -3,6 +3,7 @@
 Three interchangeable routes to -(-Delta)^(alpha/2):
 
   * fl_standard   - the Levy-range singular integral (0 < alpha < 2),
+    which is the m = 1 difference form with the Levy constant,
   * fl_order_m    - the order-2m difference kernel (0 < alpha < 2m),
   * fl_regularized - the eps-regularized form, valid for every alpha >= 0
     and collapsing to (-1)^(p+1) Delta^p at alpha = 2p.
@@ -76,22 +77,23 @@ def _stencil_moments(offs, w, qmax):
             for q in range(0, qmax + 1, 2)}
 
 
-def _radial_singular(u, x, alpha, m, tol, dirs, wts):
+def _taylor_order(u):
+    """Highest even order of the small-radius Taylor series: 14, or fewer
+    when the field's line_deriv supplies fewer."""
+    return min(14, u.max_line_deriv)
+
+
+def _radial_singular(u, x, alpha, m, qmax, tol, dirs, wts):
     """integral over directions and radii of Delta_2m(r nhat) u(x)
     r^(-1-alpha), for a decaying field.  Returns (value, err)."""
     offs, w = diff_weights(m)
     omega_tot = float(np.sum(wts))
-    u0 = float(np.real(u(np.atleast_1d(np.asarray(x, dtype=float)))))
+    u0 = float(np.real(np.ravel(u(np.atleast_1d(
+        np.asarray(x, dtype=float))))[0]))
 
     tiny = tol * 1e-2
     big = u.decay_radius(x, tiny)
     scale = _field_scale(u)
-
-    qmax = 14
-    try:
-        u.sup_line_deriv(qmax + 2)
-    except (NotImplementedError, ValueError):
-        qmax = 6
 
     moments = _stencil_moments(offs, w, qmax + 2)
     # lowest contributing order is 2m; collect series coefficients
@@ -151,51 +153,43 @@ def _angular_loop(compute, n, tol):
     return prev, abs(val - prev)
 
 
+def _difference_form(u, x, alpha, m, coef, label, tol):
+    """coef times the order-2m difference integral of u at x: the analytic
+    angular reduction for plane waves, else the angular loop over the
+    radial singular integral."""
+    n = u.n
+    if isinstance(u, PlaneWave):
+        vq = v_integral_quadrature(m, alpha, tol=min(tol, 1e-12))
+        eig = (coef * unit_sphere_moment(n, alpha)
+               * (-(u.wavenumber ** alpha) * vq))
+        u0 = u(np.atleast_1d(np.asarray(x, dtype=float)))
+        return FLResult(eig * u0, abs(eig) * 1e-11, label, alpha, n, m)
+
+    qmax = _taylor_order(u)
+    rtol = tol / max(abs(coef), 1e-3)
+
+    def compute(dirs, wts):
+        val, _ = _radial_singular(u, x, alpha, m, qmax, rtol, dirs, wts)
+        return val
+
+    val, aerr = _angular_loop(compute, n, rtol)
+    return FLResult(coef * val, abs(coef) * (aerr + tol), label, alpha, n, m)
+
+
 def fl_standard(u, x, alpha, tol=1e-9):
     """Levy-range singular integral form, 0 < alpha < 2."""
-    n = u.n
     if not 0.0 < alpha < 2.0:
         raise DomainError(
             "standard form needs 0 < alpha < 2: the kernel moment "
             "r^(2-alpha) diverges outside the Levy range")
-    coef = 0.5 * c_standard_levy(n, alpha)
-    if isinstance(u, PlaneWave):
-        k = u.wavenumber
-        vq = v_integral_quadrature(1, alpha, tol=min(tol, 1e-12))
-        eig = coef * unit_sphere_moment(n, alpha) * (-(k ** alpha) * vq)
-        u0 = u(np.atleast_1d(np.asarray(x, dtype=float)))
-        return FLResult(eig * u0, abs(eig) * 1e-11, "standard", alpha, n, 1)
-
-    def compute(dirs, wts):
-        val, _ = _radial_singular(u, x, alpha, 1, tol / max(abs(coef), 1e-3),
-                                  dirs, wts)
-        return val
-
-    val, aerr = _angular_loop(compute, n, tol / max(abs(coef), 1e-3))
-    return FLResult(coef * val, abs(coef) * (aerr + tol), "standard",
-                    alpha, n, 1)
+    coef = 0.5 * c_standard_levy(u.n, alpha)
+    return _difference_form(u, x, alpha, 1, coef, "standard", tol)
 
 
 def fl_order_m(u, x, alpha, m, tol=1e-9):
     """Order-2m difference-kernel form, 0 < alpha < 2m."""
-    n = u.n
-    nc = norm_constants(m, n, alpha)   # validates 0 < alpha < 2m
-    coef = nc.c_general
-    if isinstance(u, PlaneWave):
-        k = u.wavenumber
-        vq = v_integral_quadrature(m, alpha, tol=min(tol, 1e-12))
-        eig = coef * nc.u_moment * (-(k ** alpha) * vq)
-        u0 = u(np.atleast_1d(np.asarray(x, dtype=float)))
-        return FLResult(eig * u0, abs(eig) * 1e-11, "order_m", alpha, n, m)
-
-    def compute(dirs, wts):
-        val, _ = _radial_singular(u, x, alpha, m, tol / max(abs(coef), 1e-3),
-                                  dirs, wts)
-        return val
-
-    val, aerr = _angular_loop(compute, n, tol / max(abs(coef), 1e-3))
-    return FLResult(coef * val, abs(coef) * (aerr + tol), "order_m",
-                    alpha, n, m)
+    coef = norm_constants(m, u.n, alpha).c_general   # validates 0 < alpha < 2m
+    return _difference_form(u, x, alpha, m, coef, "order_m", tol)
 
 
 def _integer_branch(u, x, alpha):
@@ -240,11 +234,7 @@ def fl_regularized(u, x, alpha, spec=None):
     big = u.decay_radius(x, spec.tol * 1e-2)
     myspec = replace(spec, cutoff=big if spec.cutoff is None else spec.cutoff)
 
-    qmax = 14
-    try:
-        u.sup_line_deriv(qmax)
-    except (NotImplementedError, ValueError):
-        qmax = 6
+    qmax = _taylor_order(u)
     if qmax <= alpha + 1:
         raise DomainError("field cannot supply enough derivative data "
                           "for alpha = %g" % alpha)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constants import DomainError, diff_weights
+from .constants import DomainError, check_order, diff_weights
 from .quad import integrate_adaptive
 
 
@@ -34,8 +34,7 @@ class SelfSimilarParams:
     def __post_init__(self):
         if self.a <= 1.0:
             raise DomainError("dilation a must exceed 1")
-        if not isinstance(self.m, int) or self.m < 1 or self.m > 20:
-            raise DomainError("m must be an integer in 1..20")
+        check_order(self.m)
         if not 0.0 < self.delta < 2.0 * self.m:
             raise DomainError("need 0 < delta < 2m")
         if self.h <= 0.0:

@@ -137,16 +137,6 @@ def reg_kernel(xi, alpha, eps):
     return rho ** (-alpha - 1.0) * np.cos((alpha + 1.0) * theta)
 
 
-def reg_kernel_rotated(xi, alpha, eps):
-    """Re { i^(alpha+1) (xi + i*eps)^(-alpha-1) }, equivalent form."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    xi = np.asarray(xi, dtype=float)
-    z = (xi + 1j * eps) ** (-alpha - 1.0)
-    rot = cmath.exp(0.5j * math.pi * (alpha + 1.0))
-    return (rot * z).real
-
-
 # Re(i^p z) for p mod 4 = 0,1,2,3 without going through complex pow,
 # so that the purely real lower-boundary terms drop *exactly*.
 def _re_rot(p, z):
@@ -362,22 +352,15 @@ def reg_halfline(f, alpha, spec=None, derivs=None, tail="decay",
 def _numeric_even_derivs(f, scale):
     # central differences of the even extension, Richardson-refined;
     # enough for the subtraction of a user-supplied profile
+    from .constants import even_deriv
     h = 0.05 * scale
-    f0 = float(np.asarray(f(np.array([h * 1e-6]))).ravel()[0])
-    out = {0: f0}
-    sten = {
-        2: ([(0, -2.0), (1, 1.0), (-1, 1.0)], 1.0),
-        4: ([(0, 6.0), (1, -4.0), (-1, -4.0), (2, 1.0), (-2, 1.0)], 1.0),
-        6: ([(0, -20.0), (1, 15.0), (-1, 15.0), (2, -6.0), (-2, -6.0),
-             (3, 1.0), (-3, 1.0)], 1.0),
-    }
-    for q, (st, _) in sten.items():
-        ests = []
-        for hh in (h, 0.5 * h):
-            # evaluate through the even extension |off*hh|
-            acc = sum(w * float(np.asarray(
-                f(np.array([abs(off) * hh if off else hh * 1e-9]))
-            ).ravel()[0]) for off, w in st)
-            ests.append(acc / hh ** q)
-        out[q] = (4.0 * ests[1] - ests[0]) / 3.0
+
+    def even(t):
+        # |t|, kept just off the origin, where f need not be defined
+        t = np.maximum(np.abs(t), 1e-9 * h)
+        return np.asarray(f(t), dtype=float).ravel()
+
+    out = {0: float(even(np.zeros(1))[0])}
+    for q in (2, 4, 6):
+        out[q] = even_deriv(even, q, h)
     return out

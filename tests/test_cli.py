@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fraclap import cli
-from fraclap.constants import c_standard, norm_constants
+from fraclap import cli, constants
+from fraclap.constants import norm_constants
 
 
 def run(capsys, *argv):
@@ -155,12 +155,14 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--filter", "zzz")
         assert code == 1
 
-    def test_injected_error_detected(self, capsys):
-        code, out, _ = run(capsys, "selftest", "--inject-error")
+    def test_injected_error_detected(self, capsys, monkeypatch):
+        # a standard constant off by 1e-6 must fail the checks built on it
+        exact = constants.c_standard
+        monkeypatch.setattr(constants, "c_standard",
+                            lambda n, alpha: exact(n, alpha) * (1.0 + 1e-6))
+        code, out, _ = run(capsys, "selftest")
         assert code == 1
-        assert "FAIL" in out
-        # the perturbation must not leak into later calls
-        assert c_standard(1, 1.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
+        assert "%-32s FAIL" % "constants.levy_match" in out.splitlines()
 
 
 class TestOutputAndConfig:

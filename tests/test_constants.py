@@ -10,13 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraclap.constants import (DomainError, a_delta, apply_diff,
-                               c_standard, c_standard_levy,
-                               central_diff_power, diff_weights, gamma,
-                               norm_constants, sin_half_pi,
-                               unit_sphere_moment, v_integral,
+from fraclap.constants import (DomainError, a_delta, c_standard,
+                               c_standard_levy, central_diff_power,
+                               diff_weights, gamma, norm_constants,
+                               sin_half_pi, unit_sphere_moment, v_integral,
                                v_integral_quadrature)
+from fraclap.lattice import SelfSimilarParams
 from fraclap.quad import integrate_adaptive
+
+
+def apply_diff(u, x, h, m):
+    """Evaluate the order-2m difference of a callable at x with step h."""
+    offs, w = diff_weights(m)
+    return sum(wi * u(x + p * h) for p, wi in zip(offs, w))
 
 
 class TestGamma:
@@ -37,6 +43,12 @@ class TestGamma:
     @settings(max_examples=60, deadline=None)
     def test_recurrence(self, x):
         assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-11)
+
+    @pytest.mark.parametrize("x", [-10.999725, 150.0])
+    def test_against_mpmath(self, x):
+        # near a pole on the reflection branch, and far up the real axis
+        import mpmath as mp
+        assert gamma(x) == pytest.approx(float(mp.gamma(x)), rel=1e-14)
 
     def test_reflection(self):
         for x in (0.3, 0.77, 1.9, -0.4):
@@ -87,6 +99,19 @@ class TestDiffWeights:
         f = lambda t: np.asarray(t, dtype=float) ** 2
         val = apply_diff(f, 0.3, 0.1, 1)
         assert val == pytest.approx(2.0 * 0.01, rel=1e-9)
+
+
+class TestOrderCheck:
+    @pytest.mark.parametrize("m", [0, 21, 2.0])
+    def test_every_site_rejects(self, m):
+        sites = [lambda: diff_weights(m),
+                 lambda: central_diff_power(m, 1.0),
+                 lambda: v_integral(m, 1.0),
+                 lambda: SelfSimilarParams(delta=1.0, a=2.0, m=m)]
+        for site in sites:
+            with pytest.raises(DomainError,
+                               match=r"^m must be an integer in 1\.\.20$"):
+                site()
 
 
 class TestCentralDiffPower:

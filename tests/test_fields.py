@@ -125,7 +125,7 @@ class TestUserField:
         g = Gaussian(1.0, n=1)
         x = np.array([0.2])
         d = np.array([1.0])
-        for q in (2, 4):
+        for q in (2, 4, 6):
             assert u.line_deriv(x, d, q) == pytest.approx(
                 g.line_deriv(x, d, q), rel=1e-4)
 

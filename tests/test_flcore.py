@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fraclap.constants import DomainError
-from fraclap.fields import Gaussian, PlaneWave
+from fraclap.fields import Gaussian, PlaneWave, UserField
 from fraclap.flcore import (fl_eigenvalue, fl_order_m, fl_regularized,
                             fl_standard, sphere_rule)
 from fraclap.oracle import gaussian_reference
@@ -144,6 +144,21 @@ class TestRegularized:
         res = fl_regularized(u, x, 1.4)
         assert complex(res.value) == pytest.approx(
             -(k ** 1.4) * complex(u(x)), rel=1e-8)
+
+
+class TestUserField:
+    @pytest.mark.parametrize("rep", ["standard", "order_m", "regularized"])
+    def test_matches_gaussian(self, rep):
+        # a wrapped callable runs on differenced derivatives up to order 6
+        g = Gaussian(1.0)
+        fn = lambda pts: np.exp(-np.sum(np.atleast_2d(pts) ** 2, axis=-1))
+        user = UserField(fn, n=1, decay_radius=8.0,
+                         deriv_bound=g.sup_line_deriv)
+        x = np.array([0.3])
+        form = {"standard": lambda u: fl_standard(u, x, 1.2),
+                "order_m": lambda u: fl_order_m(u, x, 1.2, 2),
+                "regularized": lambda u: fl_regularized(u, x, 1.2)}[rep]
+        assert form(user).value == pytest.approx(form(g).value, abs=1e-7)
 
 
 class TestEigenvalue:

@@ -3,6 +3,7 @@
 Frozen reference values come from mpmath (30 digits).
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -12,8 +13,23 @@ from hypothesis import given, settings, strategies as st
 from fraclap.constants import gamma
 from fraclap.quad import (QuadratureError, QuadSpec, _richardson, i_reg,
                           integrate_adaptive, kernel_moment,
-                          osc_power_tail, reg_halfline, reg_kernel,
-                          reg_kernel_rotated)
+                          osc_power_tail, reg_halfline, reg_kernel)
+
+
+def reg_kernel_rotated(xi, alpha, eps):
+    """Re { i^(alpha+1) (xi + i*eps)^(-alpha-1) }, equivalent form."""
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    xi = np.asarray(xi, dtype=float)
+    z = (xi + 1j * eps) ** (-alpha - 1.0)
+    rot = cmath.exp(0.5j * math.pi * (alpha + 1.0))
+    return (rot * z).real
+
+
+def gauss_derivs(q):
+    # derivatives of exp(-t^2) at 0 alternate: (-1)^p (2p)!/p!
+    p = q // 2
+    return (-1.0) ** p * math.factorial(2 * p) / math.factorial(p)
 
 
 class TestIntegrateAdaptive:
@@ -162,13 +178,9 @@ class TestRegHalfline:
         assert val == pytest.approx(0.0, abs=1e-9)
 
     def test_gaussian_profile(self):
-        # derivatives of exp(-t^2) at 0 alternate: (-1)^p (2p)!/p!
-        def derivs(q):
-            p = q // 2
-            return (-1.0) ** p * math.factorial(2 * p) / math.factorial(p)
         a = 1.2
         val, _ = reg_halfline(lambda t: np.exp(-t * t), a,
-                              derivs=derivs, tail="decay")
+                              derivs=gauss_derivs, tail="decay")
         # independent spectral route: scaling the regularized integral by
         # -2 Gamma(a+1)/pi gives the operator value at the origin
         import mpmath as mp
@@ -176,6 +188,13 @@ class TestRegHalfline:
         oper = mp.quad(lambda k: -(k ** a) * mp.sqrt(mp.pi)
                        * mp.e ** (-k * k / 4), [0, mp.inf]) / mp.pi
         assert float(spec) == pytest.approx(float(oper), rel=1e-8)
+
+    def test_gaussian_profile_without_derivs(self):
+        # the Taylor data then come from differences of the profile itself
+        f = lambda t: np.exp(-t * t)
+        want, _ = reg_halfline(f, 1.2, derivs=gauss_derivs, tail="decay")
+        got, _ = reg_halfline(f, 1.2, tail="decay")
+        assert got == pytest.approx(want, abs=2e-8)
 
     def test_requires_taylor_data(self):
         with pytest.raises(ValueError):
