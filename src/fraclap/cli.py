@@ -5,7 +5,8 @@ sweeps, and a self-test suite.
 Output is CSV (header row, LF endings, shortest round-trip floats) or a
 plain aligned table.  An optional ``key = value`` config file supplies
 defaults; explicit flags win.  Exit codes: 0 ok, 1 self-test failure,
-2 domain or usage error.
+2 domain or usage error, 3 numerical failure (a quadrature or an
+extrapolation that does not meet its tolerance).
 """
 
 import argparse
@@ -21,7 +22,8 @@ from .flcore import fl_eigenvalue, fl_order_m, fl_regularized, fl_standard
 from .lattice import (SelfSimilarParams, wm_dispersion, wm_limit_amplitude)
 from .oracle import GridField, dft_fl, fft, periodic_image_tail
 from .potentials import ring_potential, scaling_factor, validate_stiffness
-from .quad import QuadSpec, i_reg, reg_halfline
+from .quad import (ExtrapolationError, QuadratureError, QuadSpec, i_reg,
+                   reg_halfline)
 
 
 def _fmt(x):
@@ -189,8 +191,6 @@ def cmd_eig(args):
     header = ["k", "eigenvalue", "exact", "abs_diff"]
     rows = []
     for k in ks:
-        if k <= 0.0:
-            raise DomainError("wavenumbers must be positive")
         val = fl_eigenvalue(args.rep, args.alpha, float(k),
                             n=args.n, m=args.m, tol=args.tol)
         exact = -float(k) ** args.alpha
@@ -413,6 +413,17 @@ def build_parser():
     return top, sub
 
 
+def _check_numbers(args):
+    """Reject a bad --tol, --alpha or --delta before any work starts."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError("--tol must be finite and positive, got %r" % tol)
+    for key in ("alpha", "delta"):
+        val = getattr(args, key, None)
+        if val is not None and not math.isfinite(val):
+            raise DomainError("--%s must be finite, got %r" % (key, val))
+
+
 def main(argv=None):
     top, sub = build_parser()
     args = top.parse_args(argv)
@@ -423,10 +434,14 @@ def main(argv=None):
             if getattr(args, key) is None:
                 raise DomainError(
                     "--%s is required (flag or config file)" % key)
+        _check_numbers(args)
         return args.run(args)
     except (DomainError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except (QuadratureError, ExtrapolationError) as exc:
+        print("error: numerical failure: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -43,15 +43,15 @@ class Field:
         raise NotImplementedError
 
     def on_ray(self, x, direction, r):
-        """Values u(x + r*direction) for an array of radii r."""
+        """Values u(x + r*d) for an array of radii r, of shape r.shape for
+        one direction d, or r.shape + (ndirs,) for an (ndirs, n) stack."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         d = np.atleast_1d(np.asarray(direction, dtype=float))
-        r = np.asarray(r, dtype=float)
-        pts = x[None, :] + r[..., None] * d[None, :]
-        return self(pts)
+        return self(x + np.multiply.outer(np.asarray(r, dtype=float), d))
 
     def line_deriv(self, x, direction, order):
-        """d^order/dt^order u(x + t*direction) at t = 0."""
+        """d^order/dt^order u(x + t*d) at t = 0, for one direction d or
+        an (ndirs, n) stack (one value per direction)."""
         raise NotImplementedError
 
     def sup_line_deriv(self, order):
@@ -85,7 +85,7 @@ class PlaneWave(Field):
     def line_deriv(self, x, direction, order):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         d = np.atleast_1d(np.asarray(direction, dtype=float))
-        kappa = float(self.k @ d)
+        kappa = d @ self.k
         return (1j * kappa) ** order * np.exp(1j * float(self.k @ x))
 
     def sup_line_deriv(self, order):
@@ -120,21 +120,16 @@ class Gaussian(Field):
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)
         d = pts - self.center
-        if d.ndim == 1:
-            return math.exp(-float(d @ d) / self.sigma ** 2)
         return np.exp(-np.sum(d * d, axis=-1) / self.sigma ** 2)
 
     def line_deriv(self, x, direction, order):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         d = np.atleast_1d(np.asarray(direction, dtype=float))
+        # d^q/ds^q u(x + s d) at 0 is u(x) (-1/sigma)^q H_q(d.(x-c)/sigma)
         w = x - self.center
-        b = float(w @ d)
-        perp = float(w @ w) - b * b
-        amp = math.exp(-max(perp, 0.0) / self.sigma ** 2)
-        t = b / self.sigma
-        h = float(hermite_poly(order, np.array([t]))[0])
-        return (amp * (-1.0 / self.sigma) ** order * h
-                * math.exp(-t * t))
+        t = d @ w / self.sigma
+        return ((-1.0 / self.sigma) ** order * hermite_poly(order, t)
+                * math.exp(-float(w @ w) / self.sigma ** 2))
 
     def sup_line_deriv(self, order):
         if order not in self._sup_cache:
@@ -183,7 +178,8 @@ class UserField(Field):
 
     The callable receives an (..., n) array of points.  A decay radius
     function (or constant) must be declared: the singular integrals need
-    a certified truncation radius.
+    a certified truncation radius.  The derivative bound is likewise a
+    function of the order, or one number for every order.
     """
 
     max_line_deriv = 6
@@ -199,7 +195,7 @@ class UserField(Field):
 
     def line_deriv(self, x, direction, order):
         if order == 0:
-            return float(self.on_ray(x, direction, np.array([0.0]))[0])
+            return self.on_ray(x, direction, np.zeros(1))[0]
         if order > self.max_line_deriv or order % 2:
             raise NotImplementedError(
                 "numeric line derivatives available for even orders <= %d"
@@ -208,8 +204,9 @@ class UserField(Field):
 
     def sup_line_deriv(self, order):
         if self._bound is None:
-            raise ValueError("user field needs a deriv_bound callable")
-        return self._bound(order)
+            raise ValueError("user field needs a deriv_bound")
+        return float(self._bound(order) if callable(self._bound)
+                     else self._bound)
 
     def decay_radius(self, x, tol):
         if self._decay is None:

@@ -55,14 +55,10 @@ def sphere_rule(n, level=0):
         kk = 8 * 2 ** level
         c, wc = np.polynomial.legendre.leggauss(kk)
         phi = 2.0 * math.pi * np.arange(2 * kk) / (2 * kk)
-        s = np.sqrt(1.0 - c ** 2)
-        dirs = []
-        wts = []
-        for ci, si, wi in zip(c, s, wc):
-            for p in phi:
-                dirs.append([si * math.cos(p), si * math.sin(p), ci])
-                wts.append(wi * math.pi / kk)
-        return np.array(dirs), np.array(wts)
+        cc, pp = np.meshgrid(c, phi, indexing="ij")
+        s = np.sqrt(1.0 - cc ** 2)
+        dirs = np.stack([s * np.cos(pp), s * np.sin(pp), cc], axis=-1)
+        return dirs.reshape(-1, 3), np.repeat(wc * math.pi / kk, 2 * kk)
     raise DomainError("n must be 1, 2 or 3")
 
 
@@ -83,28 +79,27 @@ def _taylor_order(u):
     return min(14, u.max_line_deriv)
 
 
+def _angular_derivs(u, x, dirs, wts, qs):
+    """Sphere-rule sums of the order-q line derivatives of u at x, one per
+    q in qs."""
+    return {q: float(np.real(u.line_deriv(x, dirs, q)) @ wts) for q in qs}
+
+
 def _radial_singular(u, x, alpha, m, qmax, tol, dirs, wts):
     """integral over directions and radii of Delta_2m(r nhat) u(x)
     r^(-1-alpha), for a decaying field.  Returns (value, err)."""
     offs, w = diff_weights(m)
     omega_tot = float(np.sum(wts))
-    u0 = float(np.real(np.ravel(u(np.atleast_1d(
-        np.asarray(x, dtype=float))))[0]))
 
     tiny = tol * 1e-2
     big = u.decay_radius(x, tiny)
     scale = _field_scale(u)
 
     moments = _stencil_moments(offs, w, qmax + 2)
-    # lowest contributing order is 2m; collect series coefficients
-    coeffs = {}
-    for q in range(2 * m, qmax + 1, 2):
-        s_q = moments[q]
-        if s_q == 0.0:
-            continue
-        ang = sum(wts[j] * float(np.real(u.line_deriv(x, dirs[j], q)))
-                  for j in range(len(dirs)))
-        coeffs[q] = s_q * ang / math.factorial(q)
+    # series coefficients from order 2m up; the order-0 sum feeds the tail
+    qs = [q for q in range(2 * m, qmax + 1, 2) if moments[q] != 0.0]
+    derivs = _angular_derivs(u, x, dirs, wts, [0] + qs)
+    coeffs = {q: moments[q] * derivs[q] / math.factorial(q) for q in qs}
 
     # matching radius: Taylor remainder of the stencil below tol
     rs = 0.5 * min(scale, 1.0)
@@ -119,20 +114,16 @@ def _radial_singular(u, x, alpha, m, qmax, tol, dirs, wts):
     inner = sum(c * rs ** (q - alpha) / (q - alpha)
                 for q, c in coeffs.items())
 
+    # a ray call per stencil offset: batches 2m+1 times smaller in memory
     def profile(r):
-        r = np.asarray(r, dtype=float)
-        acc = 0.0
-        for j, d in enumerate(dirs):
-            vals = np.real(u.on_ray(x, d, np.multiply.outer(
-                offs.astype(float), r)))
-            acc = acc + wts[j] * (w @ vals)
-        return acc * r ** (-1.0 - alpha)
+        vals = [np.real(u.on_ray(x, dirs, p * r)) @ wts for p in offs]
+        return (w @ vals) * r ** (-1.0 - alpha)
 
     body, qerr = integrate_adaptive(profile, rs, big, tol=0.25 * tol,
                                     points=[1.0] if rs < 1.0 < big else [])
     # beyond the decay radius only the central weight survives
     w0 = float(w[offs == 0][0])
-    tail = omega_tot * w0 * u0 * big ** (-alpha) / alpha
+    tail = w0 * derivs[0] * big ** (-alpha) / alpha
     err = nxt + qerr + omega_tot * 4.0 ** m * tiny * big ** (-alpha) / alpha
     return inner + body + tail, err
 
@@ -169,8 +160,7 @@ def _difference_form(u, x, alpha, m, coef, label, tol):
     rtol = tol / max(abs(coef), 1e-3)
 
     def compute(dirs, wts):
-        val, _ = _radial_singular(u, x, alpha, m, qmax, rtol, dirs, wts)
-        return val
+        return _radial_singular(u, x, alpha, m, qmax, rtol, dirs, wts)[0]
 
     val, aerr = _angular_loop(compute, n, rtol)
     return FLResult(coef * val, abs(coef) * (aerr + tol), label, alpha, n, m)
@@ -240,20 +230,13 @@ def fl_regularized(u, x, alpha, spec=None):
                           "for alpha = %g" % alpha)
 
     def compute(dirs, wts):
-        derivs = {q: sum(wts[j] * float(np.real(u.line_deriv(x, dirs[j], q)))
-                         for j in range(len(dirs)))
-                  for q in range(0, qmax + 1, 2)}
+        derivs = _angular_derivs(u, x, dirs, wts, range(0, qmax + 1, 2))
 
         def profile(r):
-            r = np.asarray(r, dtype=float)
-            acc = 0.0
-            for j, d in enumerate(dirs):
-                acc = acc + wts[j] * np.real(u.on_ray(x, d, r))
-            return acc
+            return np.real(u.on_ray(x, dirs, r)) @ wts
 
-        val, err = reg_halfline(profile, alpha, myspec, derivs=derivs,
-                                tail="decay", scale=scale)
-        return val
+        return reg_halfline(profile, alpha, myspec, derivs=derivs,
+                            tail="decay", scale=scale)[0]
 
     val, aerr = _angular_loop(compute, n, spec.tol / max(abs(coef), 1e-3))
     return FLResult(coef * val, abs(coef) * (aerr + spec.tol),

@@ -7,6 +7,7 @@ import pytest
 
 from fraclap import cli, constants
 from fraclap.constants import norm_constants
+from fraclap.quad import ExtrapolationError, QuadratureError
 
 
 def run(capsys, *argv):
@@ -163,6 +164,46 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest")
         assert code == 1
         assert "%-32s FAIL" % "constants.levy_match" in out.splitlines()
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("argv", [
+        ("apply", "--alpha", "1.2", "--tol", "0"),
+        ("apply", "--alpha", "1.2", "--tol=-1e-9"),
+        ("eig", "--alpha", "1.2", "--tol", "nan"),
+        ("dispersion", "--delta", "0.8", "--tol", "inf"),
+        ("eig", "--alpha", "inf"),
+        ("apply", "--alpha", "nan"),
+        ("constants", "--alpha=-inf"),
+        ("dispersion", "--delta", "nan"),
+        ("converge", "--delta", "inf"),
+    ])
+    def test_rejected_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --") and err.count("\n") == 1
+
+    def test_config_tol_checked_too(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("tol = 0\n")
+        code, _, err = run(capsys, "eig", "--alpha", "1.2",
+                           "--config", str(cfg))
+        assert code == 2 and "--tol" in err
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("exc", [QuadratureError("tolerance not met"),
+                                     ExtrapolationError("no contraction")])
+    def test_exit_three(self, capsys, monkeypatch, exc):
+        def failing(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "fl_standard", failing)
+        code, out, err = run(capsys, "apply", "--alpha", "1.2", "--rep",
+                             "standard", "--samples", "1")
+        assert code == 3
+        assert out == ""
+        assert err == "error: numerical failure: %s\n" % exc
 
 
 class TestOutputAndConfig:

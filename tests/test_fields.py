@@ -137,3 +137,40 @@ class TestFieldBase:
     def test_plane_wave_reports_wavenumber(self):
         k = np.array([0.0, 2.0])
         assert PlaneWave(k).wavenumber == pytest.approx(2.0)
+
+
+class TestDirectionStack:
+    """on_ray and line_deriv take an (ndirs, n) stack of directions and
+    give the per-direction values along a trailing axis."""
+
+    x = np.array([0.5, -0.2, 0.9])
+    dirs = np.random.default_rng(3).standard_normal((7, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+
+    @staticmethod
+    def _fields():
+        fn = lambda pts: np.exp(-np.sum((pts - 0.2) ** 2, axis=-1) / 1.7)
+        return [
+            (Gaussian(1.3, center=np.array([0.1, -0.4, 0.3])), range(7)),
+            (PlaneWave(np.array([0.8, -1.1, 0.5])), range(7)),
+            (UserField(fn, n=3, decay_radius=9.0, deriv_bound=30.0),
+             (0, 2, 4, 6)),
+        ]
+
+    def test_on_ray(self):
+        r = np.linspace(-1.5, 2.5, 12).reshape(3, 4)
+        for u, _ in self._fields():
+            got = u.on_ray(self.x, self.dirs, r)
+            assert got.shape == r.shape + (len(self.dirs),)
+            for j, d in enumerate(self.dirs):
+                assert np.allclose(got[..., j], u.on_ray(self.x, d, r),
+                                   rtol=1e-14, atol=1e-14)
+
+    def test_line_deriv(self):
+        for u, orders in self._fields():
+            for q in orders:
+                got = u.line_deriv(self.x, self.dirs, q)
+                assert np.shape(got) == (len(self.dirs),)
+                for j, d in enumerate(self.dirs):
+                    one = u.line_deriv(self.x, d, q)
+                    assert abs(got[j] - one) <= 1e-14 * max(1.0, abs(one))

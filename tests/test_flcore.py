@@ -37,6 +37,21 @@ class TestSphereRule:
         got = np.sum(wts * dirs[:, 2] ** 2) / (4.0 * math.pi)
         assert got == pytest.approx(1.0 / 3.0, rel=1e-12)
 
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_3d_is_legendre_times_trapezoid(self, level):
+        # cos(theta) on Gauss-Legendre nodes (outer), phi on 2k equal steps
+        dirs, wts = sphere_rule(3, level)
+        kk = 8 * 2 ** level
+        c, wc = np.polynomial.legendre.leggauss(kk)
+        want_dirs, want_wts = [], []
+        for ci, wi in zip(c, wc):
+            for j in range(2 * kk):
+                p, s = math.pi * j / kk, math.sqrt(1.0 - ci * ci)
+                want_dirs.append([s * math.cos(p), s * math.sin(p), ci])
+                want_wts.append(wi * math.pi / kk)
+        assert np.max(np.abs(dirs - want_dirs)) <= 1e-15
+        assert np.max(np.abs(wts - want_wts)) <= 1e-15
+
     def test_rejects_higher_dimension(self):
         with pytest.raises(DomainError):
             sphere_rule(4)
@@ -147,18 +162,53 @@ class TestRegularized:
 
 
 class TestUserField:
-    @pytest.mark.parametrize("rep", ["standard", "order_m", "regularized"])
-    def test_matches_gaussian(self, rep):
-        # a wrapped callable runs on differenced derivatives up to order 6
+    @pytest.mark.parametrize("rep,bound", [
+        ("standard", None), ("order_m", None), ("regularized", None),
+        ("standard", 30.0)],
+        ids=["standard", "order_m", "regularized", "standard-bound30"])
+    def test_matches_gaussian(self, rep, bound):
+        # a wrapped callable runs on differenced derivatives up to order 6;
+        # its derivative bound is a function of the order or one number
         g = Gaussian(1.0)
         fn = lambda pts: np.exp(-np.sum(np.atleast_2d(pts) ** 2, axis=-1))
         user = UserField(fn, n=1, decay_radius=8.0,
-                         deriv_bound=g.sup_line_deriv)
+                         deriv_bound=bound or g.sup_line_deriv)
         x = np.array([0.3])
         form = {"standard": lambda u: fl_standard(u, x, 1.2),
                 "order_m": lambda u: fl_order_m(u, x, 1.2, 2),
                 "regularized": lambda u: fl_regularized(u, x, 1.2)}[rep]
         assert form(user).value == pytest.approx(form(g).value, abs=1e-7)
+
+
+class TestClosedFormND:
+    """Gaussian values in 2-D and 3-D against the closed form
+    -(-Delta)^(alpha/2) exp(-|x|^2/s^2) = -s^-alpha 2^alpha
+    Gamma((alpha+n)/2) / Gamma(n/2) 1F1((alpha+n)/2; n/2; -|x|^2/s^2)."""
+
+    @staticmethod
+    def exact(n, alpha, r, sigma=1.0):
+        import mpmath
+        a, h = mpmath.mpf(alpha), mpmath.mpf(n) / 2
+        z = -(mpmath.mpf(r) / sigma) ** 2
+        return float(-mpmath.mpf(sigma) ** -a * 2 ** a
+                     * mpmath.gamma(a / 2 + h) / mpmath.gamma(h)
+                     * mpmath.hyp1f1(a / 2 + h, h, z))
+
+    @pytest.mark.parametrize("r", [0.0, 0.8])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("rep,alpha", [
+        ("standard", 0.7), ("standard", 1.6), ("order_m", 2.5),
+        ("regularized", 1.3), ("regularized", 3.3)])
+    def test_gaussian(self, rep, alpha, n, r):
+        u = Gaussian(1.0, n=n)
+        x = r * np.ones(n) / math.sqrt(n)
+        form = {"standard": lambda: fl_standard(u, x, alpha),
+                "order_m": lambda: fl_order_m(u, x, alpha, 2),
+                "regularized": lambda: fl_regularized(u, x, alpha)}[rep]
+        want = self.exact(n, alpha, r)
+        # res.error is not asserted: at n = 3, alpha = 1.6, r = 0 the
+        # actual error is above the reported one
+        assert abs(form().value - want) <= 1e-9 * max(1.0, abs(want))
 
 
 class TestEigenvalue:
