@@ -22,8 +22,7 @@ from .flcore import fl_eigenvalue, fl_order_m, fl_regularized, fl_standard
 from .lattice import (SelfSimilarParams, wm_dispersion, wm_limit_amplitude)
 from .oracle import GridField, dft_fl, fft, periodic_image_tail
 from .potentials import ring_potential, scaling_factor, validate_stiffness
-from .quad import (ExtrapolationError, QuadratureError, QuadSpec, i_reg,
-                   reg_halfline)
+from .quad import ExtrapolationError, QuadratureError, i_reg, reg_halfline
 
 
 def _fmt(x):
@@ -139,7 +138,6 @@ def cmd_apply(args):
     u = _make_field(args)
     xs = np.linspace(args.x_min, args.x_max, args.samples)
     rep = args.rep
-    spec = QuadSpec(tol=args.tol)
 
     oracle_vals = None
     if (args.field == "gaussian" and args.n == 1
@@ -169,7 +167,7 @@ def cmd_apply(args):
         elif rep == "order_m":
             res = fl_order_m(u, pt, args.alpha, args.m, tol=args.tol)
         elif rep == "regularized":
-            res = fl_regularized(u, pt, args.alpha, spec=spec)
+            res = fl_regularized(u, pt, args.alpha, tol=args.tol)
         else:
             raise DomainError("unknown representation %r" % rep)
         row = [float(x), float(np.real(res.value))]
@@ -178,7 +176,7 @@ def cmd_apply(args):
                 row += [math.nan, math.nan]
             else:
                 corr = periodic_image_tail(float(x), args.alpha,
-                                           args.oracle_length)
+                                           args.oracle_length, args.sigma)
                 row += [oracle_vals[i],
                         abs(row[1] + corr - oracle_vals[i])]
         rows.append(row)

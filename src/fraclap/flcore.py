@@ -14,9 +14,10 @@ unit-sphere moment; the radial factor is still computed by genuine
 quadrature, so cross-checks against -|k|^alpha stay meaningful.
 """
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .constants import (DomainError, c_standard_levy, diff_weights, gamma,
                         norm_constants, unit_sphere_moment,
                         v_integral_quadrature)
 from .fields import PlaneWave
-from .quad import QuadSpec, integrate_adaptive, reg_halfline
+from .quad import integrate_adaptive, reg_halfline
 
 
 @dataclass
@@ -163,7 +164,7 @@ def _difference_form(u, x, alpha, m, coef, label, tol):
         return _radial_singular(u, x, alpha, m, qmax, rtol, dirs, wts)[0]
 
     val, aerr = _angular_loop(compute, n, rtol)
-    return FLResult(coef * val, abs(coef) * (aerr + tol), label, alpha, n, m)
+    return FLResult(coef * val, abs(coef) * (aerr + rtol), label, alpha, n, m)
 
 
 def fl_standard(u, x, alpha, tol=1e-9):
@@ -187,7 +188,7 @@ def _integer_branch(u, x, alpha):
     return (-1.0) ** (p + 1) * u.laplacian_power(x, p)
 
 
-def fl_regularized(u, x, alpha, spec=None):
+def fl_regularized(u, x, alpha, tol=1e-10):
     """eps-regularized representation, valid for every alpha >= 0.
 
     Even integer alpha dispatches to the analytic branch
@@ -196,8 +197,6 @@ def fl_regularized(u, x, alpha, spec=None):
     """
     if alpha < 0.0:
         raise DomainError("alpha must be >= 0")
-    if spec is None:
-        spec = QuadSpec()
     n = u.n
     half = alpha / 2.0
     dist = abs(half - round(half))
@@ -214,15 +213,14 @@ def fl_regularized(u, x, alpha, spec=None):
 
     if isinstance(u, PlaneWave):
         k = u.wavenumber
-        s_val, s_err = _reg_cos_moment(alpha, spec)
+        s_val, s_err = _reg_cos_moment(alpha, tol)
         eig = coef * umom * k ** alpha * s_val
         u0 = u(np.atleast_1d(np.asarray(x, dtype=float)))
         return FLResult(eig * u0, abs(coef * umom * k ** alpha) * s_err,
                         "regularized", alpha, n, None)
 
     scale = _field_scale(u)
-    big = u.decay_radius(x, spec.tol * 1e-2)
-    myspec = replace(spec, cutoff=big if spec.cutoff is None else spec.cutoff)
+    big = u.decay_radius(x, tol * 1e-2)
 
     qmax = _taylor_order(u)
     if qmax <= alpha + 1:
@@ -235,28 +233,32 @@ def fl_regularized(u, x, alpha, spec=None):
         def profile(r):
             return np.real(u.on_ray(x, dirs, r)) @ wts
 
-        return reg_halfline(profile, alpha, myspec, derivs=derivs,
-                            tail="decay", scale=scale)[0]
+        return reg_halfline(profile, alpha, derivs, tol=tol, tail="decay",
+                            scale=scale, cutoff=big)[0]
 
-    val, aerr = _angular_loop(compute, n, spec.tol / max(abs(coef), 1e-3))
-    return FLResult(coef * val, abs(coef) * (aerr + spec.tol),
+    val, aerr = _angular_loop(compute, n, tol / max(abs(coef), 1e-3))
+    return FLResult(coef * val, abs(coef) * (aerr + tol),
                     "regularized", alpha, n, None)
 
 
-def _reg_cos_moment(alpha, spec):
+@functools.lru_cache(maxsize=64)
+def _reg_cos_moment(alpha, tol):
     # regularized half-line integral of cos(xi); analytic value
-    # pi / (2 Gamma(alpha+1)), but computed here by real quadrature
+    # pi / (2 Gamma(alpha+1)), but computed here by real quadrature.
+    # It does not depend on the wavenumber, so a sweep over k reuses it.
     derivs = {q: (-1.0) ** (q // 2) for q in range(0, 15, 2)}
-    return reg_halfline(lambda x: np.cos(x), alpha, spec, derivs=derivs,
+    return reg_halfline(lambda x: np.cos(x), alpha, derivs, tol=tol,
                         tail="cos", scale=1.0, omega=1.0)
 
 
-def fl_eigenvalue(representation, alpha, k, n=1, m=1, tol=1e-9, spec=None):
+def fl_eigenvalue(representation, alpha, k, n=1, m=1, tol=1e-9):
     """Plane-wave eigenvalue of the chosen representation at |k| = k.
 
     Exact answer is -k^alpha; the returned number keeps the quadrature
     content of the representation (the angular factor is analytic), so
-    agreement with -k^alpha is a genuine cross-check.
+    agreement with -k^alpha is a genuine cross-check.  tol goes to the
+    standard and order-m forms; the regularized eigenvalue keeps its own
+    tolerance of 1e-10 (the fl_regularized default) whatever tol is.
     """
     if k <= 0.0:
         raise DomainError("k must be positive")
@@ -267,5 +269,5 @@ def fl_eigenvalue(representation, alpha, k, n=1, m=1, tol=1e-9, spec=None):
     if representation == "order_m":
         return complex(fl_order_m(pw, x, alpha, m, tol=tol).value).real
     if representation == "regularized":
-        return complex(fl_regularized(pw, x, alpha, spec=spec).value).real
+        return complex(fl_regularized(pw, x, alpha).value).real
     raise DomainError("unknown representation %r" % representation)

@@ -118,20 +118,21 @@ def gaussian_reference(alpha, sigma, x):
             * math.exp(-t * t))
 
 
-def periodic_image_tail(x, alpha, length, images=400, terms=14):
+def periodic_image_tail(x, alpha, length, sigma=1.0, images=400, terms=14):
     """Far-field contribution of periodic Gaussian images to the operator.
 
     The spectral route on a box of size ``length`` computes the operator of
-    the periodized field, which exceeds the free-space value by the sum over
-    image copies a distance >= length - |x| away.  Out there the kernel is
-    smooth, so each image contributes
+    the periodized field exp(-(y/sigma)^2), which exceeds the free-space
+    value by the sum over image copies a distance >= length - |x| away.
+    Out there the kernel is smooth, so each image contributes
 
-        C(1, alpha) * int exp(-y^2) |x - j*length - y|^(-1-alpha) dy,
+        C(1, alpha) * int exp(-(y/sigma)^2) |x - j*length - y|^(-1-alpha) dy,
 
     evaluated through the even-moment expansion of the kernel about the
-    image centre (the field's odd moments vanish).  Images beyond ``images``
-    are summed with a midpoint integral remainder on the leading moment.
-    Requires length - |x| to comfortably clear the Gaussian support.
+    image centre (the field's odd moments vanish; the t-th even moment is
+    sigma^(2t+1) Gamma(t + 1/2)).  Images beyond ``images`` are summed with
+    a midpoint integral remainder on the leading moment.  Requires
+    length - |x| to comfortably clear the Gaussian support.
     """
     from .constants import c_standard, gamma
 
@@ -147,8 +148,9 @@ def periodic_image_tail(x, alpha, length, images=400, terms=14):
         binom = 1.0
         for i in range(2 * t):
             binom *= (-1.0 - alpha - i) / (i + 1.0)
-        total += binom * gamma(t + 0.5) * np.sum(d ** (-1.0 - alpha - 2 * t))
+        total += (binom * gamma(t + 0.5) * sigma ** (2 * t + 1)
+                  * np.sum(d ** (-1.0 - alpha - 2 * t)))
     s = 1.0 + alpha
-    remainder = (2.0 * math.sqrt(math.pi) * length ** -s
+    remainder = (2.0 * math.sqrt(math.pi) * sigma * length ** -s
                  * (images + 0.5) ** (1.0 - s) / (s - 1.0))
     return coef * (total + remainder)

@@ -9,7 +9,7 @@ that a direct quadrature of the boundary layer would hit:
   * closed-form moments of the kernel against the Taylor polynomial of f
     on (0, xi_s),
   * ordinary adaptive quadrature on (xi_s, R),
-  * an analytic tail beyond R (decaying, constant, or cosine profiles).
+  * an analytic tail beyond R (decaying or cosine profiles).
 
 Each eps in a halving sequence gives one value; Richardson extrapolation
 in eps produces the limit.
@@ -17,7 +17,6 @@ in eps produces the limit.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,21 +109,6 @@ def integrate_adaptive(f, lo, hi, tol=1e-10, limit=20000, points=()):
         panels.append((err, a, m, ik))
         ik, err = _panel(f, m, b)
         panels.append((err, m, b, ik))
-
-
-@dataclass
-class QuadSpec:
-    """Controls for the regularized half-line integral.
-
-    eps0 is the largest regularization parameter, halved `levels` times;
-    extrap_order caps the Richardson tableau depth; cutoff overrides the
-    outer quadrature radius R when set.
-    """
-    tol: float = 1e-10
-    eps0: float = 1e-2
-    levels: int = 8
-    extrap_order: int = 3
-    cutoff: float | None = None
 
 
 def reg_kernel(xi, alpha, eps):
@@ -252,27 +236,30 @@ def _richardson(values):
     return tab
 
 
-def reg_halfline(f, alpha, spec=None, derivs=None, tail="decay",
-                 scale=1.0, omega=None):
+# The eps ladder of reg_halfline: the largest eps (in units of the profile
+# scale), the number of halvings and the depth of the Richardson tableau.
+_EPS0 = 1e-2
+_LEVELS = 8
+_EXTRAP_DEPTH = 3
+
+
+def reg_halfline(f, alpha, derivs, tol=1e-10, tail="decay", scale=1.0,
+                 omega=None, cutoff=None):
     """eps -> 0+ limit of integral_0^inf f(xi) Re(eps-i*xi)^(-alpha-1) dxi.
 
-    f must be the restriction to (0, inf) of a smooth *even* profile.
-    derivs, if given, maps even order q to f^(q)(0) (a dict or callable);
-    otherwise low-order values are estimated by central differences of
-    the even extension.  tail selects the closure beyond the quadrature
-    radius: "decay" (f negligible there), ("const", c) for f -> c, or
-    "cos" with omega set for an oscillatory profile f ~ cos(omega*xi).
+    f must be the restriction to (0, inf) of a smooth *even* profile, and
+    derivs maps even order q to f^(q)(0) (a dict or callable; a missing
+    order ends the Taylor data).  tail selects the closure beyond the
+    quadrature radius: "decay" (f negligible there) or "cos" with omega
+    set for an oscillatory profile f ~ cos(omega*xi).  cutoff sets the
+    quadrature radius of a decaying profile (default 30*scale).
 
     Returns (value, error_estimate).
     """
-    if spec is None:
-        spec = QuadSpec()
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
 
     # Taylor data of the even profile at 0
-    if derivs is None:
-        derivs = _numeric_even_derivs(f, scale)
     get = derivs if callable(derivs) else derivs.get
     orders = []
     q = 0
@@ -295,27 +282,24 @@ def reg_halfline(f, alpha, spec=None, derivs=None, tail="decay",
     xi_s = 0.25 * scale
     for _ in range(40):
         rem = abs(orders[-1][1]) * xi_s ** (qmax - alpha) / (qmax - alpha)
-        if rem < 0.05 * spec.tol or xi_s < 1e-3 * scale:
+        if rem < 0.05 * tol or xi_s < 1e-3 * scale:
             break
         xi_s *= 0.5
-    eps_list = [spec.eps0 * scale * 0.5 ** j for j in range(spec.levels + 1)]
+    eps_list = [_EPS0 * scale * 0.5 ** j for j in range(_LEVELS + 1)]
     if xi_s < 4.0 * eps_list[-1]:
         xi_s = 4.0 * eps_list[-1]
 
     # outer radius
     if tail == "decay":
-        big = spec.cutoff if spec.cutoff is not None else 30.0 * scale
-    elif isinstance(tail, tuple) and tail[0] == "const":
-        big = spec.cutoff if spec.cutoff is not None else 30.0 * scale
+        big = cutoff if cutoff is not None else 30.0 * scale
     elif tail == "cos":
         if omega is None or omega <= 0.0:
             raise ValueError("cos tail needs omega > 0")
-        big = max(spec.cutoff or 0.0, 80.0 * (alpha + 15.0) / omega,
-                  2.0 * xi_s)
+        big = max(80.0 * (alpha + 15.0) / omega, 2.0 * xi_s)
     else:
         raise ValueError("unknown tail mode %r" % (tail,))
 
-    inner_tol = 0.1 * spec.tol
+    inner_tol = 0.1 * tol
     split = [1.0] if xi_s < 1.0 < big else []
     vals = []
     for eps in eps_list:
@@ -324,43 +308,18 @@ def reg_halfline(f, alpha, spec=None, derivs=None, tail="decay",
         mid, _ = integrate_adaptive(
             lambda x: f(x) * reg_kernel(x, alpha, eps),
             xi_s, big, tol=inner_tol, points=split)
-        if tail == "cos":
-            t = _osc_tail_reg(omega, big, alpha, eps)
-        elif isinstance(tail, tuple):
-            # the kernel integrates to zero on (0, inf) for every eps
-            t = -tail[1] * kernel_moment(0, alpha, eps, big)
-        else:
-            t = 0.0
+        t = _osc_tail_reg(omega, big, alpha, eps) if tail == "cos" else 0.0
         vals.append(mom + mid + t)
 
     tab = _richardson(vals)
-    depth = min(spec.extrap_order, len(tab) - 1)
-    best = tab[depth][-1]
-    diffs = [abs(tab[depth][i + 1] - tab[depth][i])
-             for i in range(len(tab[depth]) - 1)]
-    err = diffs[-1] if diffs else 0.0
-    err += abs(best - tab[depth - 1][-1]) if depth >= 1 else 0.0
-    err += inner_tol * len(eps_list)
-    if len(diffs) >= 3 and diffs[-1] > 4.0 * diffs[-3] \
-            and diffs[-1] > 1e3 * spec.tol * max(1.0, abs(best)):
+    col = tab[_EXTRAP_DEPTH]
+    best = col[-1]
+    diffs = [abs(col[i + 1] - col[i]) for i in range(len(col) - 1)]
+    err = (diffs[-1] + abs(best - tab[_EXTRAP_DEPTH - 1][-1])
+           + inner_tol * len(eps_list))
+    if diffs[-1] > 4.0 * diffs[-3] \
+            and diffs[-1] > 1e3 * tol * max(1.0, abs(best)):
         raise ExtrapolationError(
             "eps-extrapolation not contracting (last diffs %g, %g)"
             % (diffs[-3], diffs[-1]))
     return best, err
-
-
-def _numeric_even_derivs(f, scale):
-    # central differences of the even extension, Richardson-refined;
-    # enough for the subtraction of a user-supplied profile
-    from .constants import even_deriv
-    h = 0.05 * scale
-
-    def even(t):
-        # |t|, kept just off the origin, where f need not be defined
-        t = np.maximum(np.abs(t), 1e-9 * h)
-        return np.asarray(f(t), dtype=float).ravel()
-
-    out = {0: float(even(np.zeros(1))[0])}
-    for q in (2, 4, 6):
-        out[q] = even_deriv(even, q, h)
-    return out

@@ -7,6 +7,8 @@ import pytest
 
 from fraclap import cli, constants
 from fraclap.constants import norm_constants
+from fraclap.fields import Gaussian
+from fraclap.flcore import fl_regularized
 from fraclap.quad import ExtrapolationError, QuadratureError
 
 
@@ -94,6 +96,18 @@ class TestApply:
         assert header == ["x", "value", "oracle", "abs_diff"]
         for r in rows:
             assert float(r[3]) < 1e-5
+
+    def test_regularized_honours_tol(self, capsys):
+        # --tol reaches the regularized form unchanged: same bits as the API
+        code, out, _ = run(capsys, "apply", "--alpha", "1.3", "--rep",
+                           "regularized", "--sigma", "0.8", "--tol", "1e-7",
+                           "--samples", "3", "--x-min", "-1", "--x-max", "1")
+        assert code == 0
+        _, rows = parse_csv(out)
+        for r in rows:
+            res = fl_regularized(Gaussian(0.8), np.array([float(r[0])]), 1.3,
+                                 tol=1e-7)
+            assert float(r[1]) == float(np.real(res.value))
 
     def test_standard_rejects_high_alpha(self, capsys):
         code, _, err = run(capsys, "apply", "--alpha", "2.5", "--rep",

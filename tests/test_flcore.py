@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from fraclap import flcore
 from fraclap.constants import DomainError
 from fraclap.fields import Gaussian, PlaneWave, UserField
 from fraclap.flcore import (fl_eigenvalue, fl_order_m, fl_regularized,
                             fl_standard, sphere_rule)
 from fraclap.oracle import gaussian_reference
+from fraclap.quad import reg_halfline
 
 # reference values for the unit Gaussian, computed to 20 digits with
 # arbitrary-precision quadrature of the defining integrals
@@ -194,21 +196,29 @@ class TestClosedFormND:
                      * mpmath.gamma(a / 2 + h) / mpmath.gamma(h)
                      * mpmath.hyp1f1(a / 2 + h, h, z))
 
-    @pytest.mark.parametrize("r", [0.0, 0.8])
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("rep,alpha", [
-        ("standard", 0.7), ("standard", 1.6), ("order_m", 2.5),
-        ("regularized", 1.3), ("regularized", 3.3)])
-    def test_gaussian(self, rep, alpha, n, r):
-        u = Gaussian(1.0, n=n)
-        x = r * np.ones(n) / math.sqrt(n)
+    # points on the diagonal at |x| = r for sigma = 1, and a 2-D point on
+    # the first axis whose reported error once fell short of the actual one
+    CASES = [pytest.param(rep, alpha, n, r * np.ones(n) / math.sqrt(n), 1.0,
+                          id="%s-%s-%s-%s" % (rep, alpha, n, r))
+             for rep, alpha in [("standard", 0.7), ("standard", 1.6),
+                                ("order_m", 2.5), ("regularized", 1.3),
+                                ("regularized", 3.3)]
+             for n in (2, 3) for r in (0.0, 0.8)]
+    CASES.append(pytest.param("standard", 1.8382404838364503, 2,
+                              np.array([-0.07115044720265384, 0.0]),
+                              0.7257872456317662,
+                              id="standard-1.838-2-axis-sigma0.726"))
+
+    @pytest.mark.parametrize("rep,alpha,n,x,sigma", CASES)
+    def test_gaussian(self, rep, alpha, n, x, sigma):
+        u = Gaussian(sigma, n=n)
         form = {"standard": lambda: fl_standard(u, x, alpha),
                 "order_m": lambda: fl_order_m(u, x, alpha, 2),
                 "regularized": lambda: fl_regularized(u, x, alpha)}[rep]
-        want = self.exact(n, alpha, r)
-        # res.error is not asserted: at n = 3, alpha = 1.6, r = 0 the
-        # actual error is above the reported one
-        assert abs(form().value - want) <= 1e-9 * max(1.0, abs(want))
+        want = self.exact(n, alpha, float(np.linalg.norm(x)), sigma)
+        res = form()
+        assert abs(res.value - want) <= 1e-9 * max(1.0, abs(want))
+        assert abs(res.value - want) <= res.error
 
 
 class TestEigenvalue:
@@ -226,6 +236,20 @@ class TestEigenvalue:
         for n in (1, 2, 3):
             got = fl_eigenvalue("standard", 1.2, 1.5, n=n)
             assert got == pytest.approx(-(1.5 ** 1.2), rel=1e-7)
+
+    def test_regularized_sweep_computes_one_cos_moment(self, monkeypatch):
+        # the cos moment does not depend on k, so a sweep computes it once
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return reg_halfline(*args, **kwargs)
+
+        flcore._reg_cos_moment.cache_clear()
+        monkeypatch.setattr(flcore, "reg_halfline", counted)
+        for k in (0.5, 1.0, 2.0):
+            fl_eigenvalue("regularized", 0.9, k)
+        assert calls == [0.9]
 
     def test_bad_inputs(self):
         with pytest.raises(DomainError):

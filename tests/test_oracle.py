@@ -134,12 +134,15 @@ class TestGaussianReference:
 class TestPeriodicImageTail:
     def test_closes_gap_to_free_space(self):
         # periodic spectral value minus free-space value must equal the
-        # image-tail sum; free-space reference frozen from mpmath
+        # image-tail sum; free-space reference frozen from mpmath, and
+        # scaled by sigma^-a for the narrower Gaussian exp(-(x/sigma)^2)
         L, N, a = 16.0, 1024, 1.5
         xs = np.linspace(-L / 2, L / 2, N, endpoint=False)
-        out = dft_fl(GridField(np.exp(-xs ** 2), L), a)
-        gap = out[N // 2] - FREE_SPACE_A15_X0
-        assert periodic_image_tail(0.0, a, L) == pytest.approx(gap, abs=1e-9)
+        for sigma in (1.0, 0.8):
+            out = dft_fl(GridField(np.exp(-(xs / sigma) ** 2), L), a)
+            gap = out[N // 2] - sigma ** -a * FREE_SPACE_A15_X0
+            assert periodic_image_tail(0.0, a, L, sigma) == pytest.approx(
+                gap, abs=1e-9)
 
     def test_monotone_in_box_size(self):
         a = 0.7

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraclap.constants import gamma
-from fraclap.quad import (QuadratureError, QuadSpec, _richardson, i_reg,
+from fraclap.quad import (QuadratureError, _richardson, i_reg,
                           integrate_adaptive, kernel_moment,
                           osc_power_tail, reg_halfline, reg_kernel)
 
@@ -170,13 +170,6 @@ class TestRegHalfline:
                                   tail="decay")
             assert val == pytest.approx(i_reg(1.0, a), abs=1e-9)
 
-    def test_constant_profile_vanishes(self):
-        # the kernel integrates to zero over the whole half-line
-        val, _ = reg_halfline(lambda t: np.ones_like(t), 0.8,
-                              derivs=lambda q: 0.0 if q else 1.0,
-                              tail=("const", 1.0))
-        assert val == pytest.approx(0.0, abs=1e-9)
-
     def test_gaussian_profile(self):
         a = 1.2
         val, _ = reg_halfline(lambda t: np.exp(-t * t), a,
@@ -189,21 +182,6 @@ class TestRegHalfline:
                        * mp.e ** (-k * k / 4), [0, mp.inf]) / mp.pi
         assert float(spec) == pytest.approx(float(oper), rel=1e-8)
 
-    def test_gaussian_profile_without_derivs(self):
-        # the Taylor data then come from differences of the profile itself
-        f = lambda t: np.exp(-t * t)
-        want, _ = reg_halfline(f, 1.2, derivs=gauss_derivs, tail="decay")
-        got, _ = reg_halfline(f, 1.2, tail="decay")
-        assert got == pytest.approx(want, abs=2e-8)
-
     def test_requires_taylor_data(self):
         with pytest.raises(ValueError):
             reg_halfline(np.cos, 2.5, derivs={0: 1.0}, tail="cos", omega=1.0)
-
-
-class TestQuadSpec:
-    def test_defaults(self):
-        spec = QuadSpec()
-        assert spec.tol > 0.0
-        assert spec.levels >= 4
-        assert spec.eps0 < 1.0
