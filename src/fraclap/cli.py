@@ -5,8 +5,8 @@ sweeps, and a self-test suite.
 Output is CSV (header row, LF endings, shortest round-trip floats) or a
 plain aligned table.  An optional ``key = value`` config file supplies
 defaults; explicit flags win.  Exit codes: 0 ok, 1 self-test failure,
-2 domain or usage error, 3 numerical failure (a quadrature or an
-extrapolation that does not meet its tolerance).
+2 domain or usage error, 3 numerical failure (a quadrature that does
+not meet its tolerance).
 """
 
 import argparse
@@ -22,7 +22,7 @@ from .flcore import fl_eigenvalue, fl_order_m, fl_regularized, fl_standard
 from .lattice import (SelfSimilarParams, wm_dispersion, wm_limit_amplitude)
 from .oracle import GridField, dft_fl, fft, periodic_image_tail
 from .potentials import ring_potential, scaling_factor, validate_stiffness
-from .quad import ExtrapolationError, QuadratureError, i_reg, reg_halfline
+from .quad import QuadratureError, i_reg, reg_halfline
 
 
 def _fmt(x):
@@ -69,25 +69,26 @@ def read_config(path, known):
     return values
 
 
-def merge_config(args, parser):
-    """Fill in config-file values for flags the user did not pass."""
-    if not getattr(args, "config", None):
-        return args
-    known = {a.dest for a in parser._actions
-             if a.dest not in ("help", "config")}
-    values = read_config(args.config, known)
-    actions = {a.dest: a for a in parser._actions}
-    for key, raw in values.items():
-        act = actions[key]
-        if getattr(args, key) != act.default:
-            continue            # explicit flag wins
-        if isinstance(act.default, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes"))
-        elif act.type is not None:
-            setattr(args, key, act.type(raw))
-        else:
-            setattr(args, key, raw)
-    return args
+_SWITCH = {"1": True, "true": True, "yes": True,
+           "0": False, "false": False, "no": False}
+
+
+def config_argv(path, parser):
+    """The config file's key = value pairs as flags of parser, so that
+    argparse converts and checks them as it does the user's own."""
+    actions = {a.dest: a for a in parser._actions
+               if a.dest not in ("help", "config")}
+    argv = []
+    for key, raw in read_config(path, actions).items():
+        flag = actions[key].option_strings[0]
+        if actions[key].nargs != 0:
+            argv.append("%s=%s" % (flag, raw))
+        elif raw.lower() not in _SWITCH:     # a switch such as --limit
+            raise DomainError("config key %s must be true or false, got %r"
+                              % (key, raw))
+        elif _SWITCH[raw.lower()]:
+            argv.append(flag)
+    return argv
 
 
 def cmd_constants(args):
@@ -423,11 +424,15 @@ def _check_numbers(args):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     top, sub = build_parser()
     args = top.parse_args(argv)
     try:
-        parser = sub.choices[args.command]
-        args = merge_config(args, parser)
+        if args.config:
+            # config flags go before the user's own, so the user's win
+            at = argv.index(args.command) + 1
+            extra = config_argv(args.config, sub.choices[args.command])
+            args = top.parse_args(argv[:at] + extra + argv[at:])
         for key in getattr(args, "required", ()):
             if getattr(args, key) is None:
                 raise DomainError(
@@ -437,7 +442,7 @@ def main(argv=None):
     except (DomainError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (QuadratureError, ExtrapolationError) as exc:
+    except QuadratureError as exc:
         print("error: numerical failure: %s" % exc, file=sys.stderr)
         return 3
 

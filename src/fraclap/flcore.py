@@ -192,8 +192,8 @@ def fl_regularized(u, x, alpha, tol=1e-10):
     """eps-regularized representation, valid for every alpha >= 0.
 
     Even integer alpha dispatches to the analytic branch
-    (-1)^(p+1) Delta^p u; fractional alpha runs the eps-sequence with
-    Richardson extrapolation.
+    (-1)^(p+1) Delta^p u; fractional alpha takes the eps -> 0+ limit of
+    the radial integral in closed form (quad.reg_halfline).
     """
     if alpha < 0.0:
         raise DomainError("alpha must be >= 0")

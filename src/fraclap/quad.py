@@ -1,18 +1,16 @@
 """Adaptive quadrature and epsilon-regularized half-line integrals.
 
 The half-line machinery integrates a smooth even profile f against the
-kernel Re (eps - i*xi)^(-alpha-1), whose eps -> 0+ limit is the tempered
-power -sin(pi*alpha/2) * xi^(-alpha-1).  The integral is assembled from
-three pieces so that no region ever suffers the near-origin cancellation
-that a direct quadrature of the boundary layer would hit:
+kernel Re (eps - i*xi)^(-alpha-1) in the limit eps -> 0+.  The integral
+is assembled from three pieces, each of which has its limit in closed
+form, so no eps is ever set:
 
-  * closed-form moments of the kernel against the Taylor polynomial of f
-    on (0, xi_s),
-  * ordinary adaptive quadrature on (xi_s, R),
+  * moments of the kernel against the Taylor polynomial of f on
+    (0, xi_s), taken at eps = 0 (Hadamard finite parts below alpha),
+  * ordinary adaptive quadrature on (xi_s, R) of f against the tempered
+    power -sin(pi*alpha/2) * xi^(-alpha-1), the uniform limit of the
+    kernel away from the origin,
   * an analytic tail beyond R (decaying or cosine profiles).
-
-Each eps in a halving sequence gives one value; Richardson extrapolation
-in eps produces the limit.
 """
 
 import cmath
@@ -23,10 +21,6 @@ import numpy as np
 
 class QuadratureError(RuntimeError):
     """Requested tolerance not met within the panel budget."""
-
-
-class ExtrapolationError(RuntimeError):
-    """Successive eps-extrapolants fail to contract."""
 
 
 # 15-point Kronrod rule with the embedded 7-point Gauss rule.
@@ -189,24 +183,6 @@ def osc_power_tail(omega, lo, s, terms=14):
     return total, mag / (abs(omega) * lo)
 
 
-def _osc_tail_reg(omega, lo, alpha, eps, terms=14):
-    # integral_lo^inf cos(omega*xi) Re(eps - i*xi)^(-alpha-1) dxi,
-    # same integration by parts but with the exact kernel antiderivatives
-    total = 0.0
-    for sign in (1.0, -1.0):
-        w = sign * omega
-        val = 0j
-        coef = 1.0 + 0j
-        beta = alpha + 1.0
-        for _ in range(terms):
-            z = complex(eps, -lo) ** (-beta)
-            val += -coef * cmath.exp(1j * w * lo) * z / (1j * w)
-            coef *= -beta / (1j * w) * 1j   # d/dxi (eps-i xi)^-b = i b (...)^-b-1
-            beta += 1.0
-        total += 0.5 * val.real
-    return total
-
-
 def i_reg(xi0, alpha):
     """Regularized value of the kernel integral over (0, xi0).
 
@@ -223,26 +199,6 @@ def i_reg(xi0, alpha):
     return sin_half_pi(alpha) / alpha * xi0 ** (-alpha)
 
 
-def _richardson(values):
-    """Richardson tableau for an eps-halving sequence; returns columns."""
-    tab = [list(values)]
-    k = 1
-    while len(tab[-1]) > 1:
-        prev = tab[-1]
-        fac = 2.0 ** k
-        tab.append([(fac * prev[i + 1] - prev[i]) / (fac - 1.0)
-                    for i in range(len(prev) - 1)])
-        k += 1
-    return tab
-
-
-# The eps ladder of reg_halfline: the largest eps (in units of the profile
-# scale), the number of halvings and the depth of the Richardson tableau.
-_EPS0 = 1e-2
-_LEVELS = 8
-_EXTRAP_DEPTH = 3
-
-
 def reg_halfline(f, alpha, derivs, tol=1e-10, tail="decay", scale=1.0,
                  omega=None, cutoff=None):
     """eps -> 0+ limit of integral_0^inf f(xi) Re(eps-i*xi)^(-alpha-1) dxi.
@@ -250,12 +206,15 @@ def reg_halfline(f, alpha, derivs, tol=1e-10, tail="decay", scale=1.0,
     f must be the restriction to (0, inf) of a smooth *even* profile, and
     derivs maps even order q to f^(q)(0) (a dict or callable; a missing
     order ends the Taylor data).  tail selects the closure beyond the
-    quadrature radius: "decay" (f negligible there) or "cos" with omega
-    set for an oscillatory profile f ~ cos(omega*xi).  cutoff sets the
-    quadrature radius of a decaying profile (default 30*scale).
+    quadrature radius: "decay" (f negligible there) or "cos" for the
+    profile f = cos(omega*xi).  cutoff sets the quadrature radius of a
+    decaying profile (default 30*scale).
 
-    Returns (value, error_estimate).
+    Each piece is evaluated at its eps = 0 limit (see the module
+    docstring).  Returns (value, error_estimate), the estimate summing
+    the quadrature and tail errors, the Taylor remainder and 0.1*tol.
     """
+    from .constants import sin_half_pi
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
 
@@ -277,49 +236,34 @@ def reg_halfline(f, alpha, derivs, tol=1e-10, tail="decay", scale=1.0,
     if qmax <= alpha:
         raise ValueError("need Taylor data beyond order alpha")
 
-    # inner matching radius: small enough for the Taylor remainder,
-    # large enough that the quadrature region never sees the eps layer
+    # inner matching radius: small enough for the Taylor remainder
     xi_s = 0.25 * scale
     for _ in range(40):
         rem = abs(orders[-1][1]) * xi_s ** (qmax - alpha) / (qmax - alpha)
         if rem < 0.05 * tol or xi_s < 1e-3 * scale:
             break
         xi_s *= 0.5
-    eps_list = [_EPS0 * scale * 0.5 ** j for j in range(_LEVELS + 1)]
-    if xi_s < 4.0 * eps_list[-1]:
-        xi_s = 4.0 * eps_list[-1]
 
-    # outer radius
+    # outer radius, and split points that keep each starting panel short
+    # enough for the Kronrod-Gauss estimate to see the profile
     if tail == "decay":
         big = cutoff if cutoff is not None else 30.0 * scale
+        split = [1.0]
     elif tail == "cos":
         if omega is None or omega <= 0.0:
             raise ValueError("cos tail needs omega > 0")
         big = max(80.0 * (alpha + 15.0) / omega, 2.0 * xi_s)
+        period = 2.0 * math.pi / omega
+        split = period * np.arange(1.0, big / period)
     else:
         raise ValueError("unknown tail mode %r" % (tail,))
 
     inner_tol = 0.1 * tol
-    split = [1.0] if xi_s < 1.0 < big else []
-    vals = []
-    for eps in eps_list:
-        mom = sum(c * kernel_moment(q, alpha, eps, xi_s)
-                  for q, c in orders)
-        mid, _ = integrate_adaptive(
-            lambda x: f(x) * reg_kernel(x, alpha, eps),
-            xi_s, big, tol=inner_tol, points=split)
-        t = _osc_tail_reg(omega, big, alpha, eps) if tail == "cos" else 0.0
-        vals.append(mom + mid + t)
-
-    tab = _richardson(vals)
-    col = tab[_EXTRAP_DEPTH]
-    best = col[-1]
-    diffs = [abs(col[i + 1] - col[i]) for i in range(len(col) - 1)]
-    err = (diffs[-1] + abs(best - tab[_EXTRAP_DEPTH - 1][-1])
-           + inner_tol * len(eps_list))
-    if diffs[-1] > 4.0 * diffs[-3] \
-            and diffs[-1] > 1e3 * tol * max(1.0, abs(best)):
-        raise ExtrapolationError(
-            "eps-extrapolation not contracting (last diffs %g, %g)"
-            % (diffs[-3], diffs[-1]))
-    return best, err
+    lead = -sin_half_pi(alpha)      # the kernel is lead * xi^(-alpha-1)
+    mom = sum(c * kernel_moment(q, alpha, 0.0, xi_s) for q, c in orders)
+    body, qerr = integrate_adaptive(lambda x: f(x) * x ** (-alpha - 1.0),
+                                    xi_s, big, tol=inner_tol, points=split)
+    tail_val, tail_err = (osc_power_tail(omega, big, alpha + 1.0)
+                          if tail == "cos" else (0.0, 0.0))
+    err = abs(lead) * (qerr + tail_err) + rem + inner_tol
+    return mom + lead * (body + tail_val), err

@@ -9,7 +9,7 @@ from fraclap import cli, constants
 from fraclap.constants import norm_constants
 from fraclap.fields import Gaussian
 from fraclap.flcore import fl_regularized
-from fraclap.quad import ExtrapolationError, QuadratureError
+from fraclap.quad import QuadratureError
 
 
 def run(capsys, *argv):
@@ -207,8 +207,7 @@ class TestInputValidation:
 
 
 class TestNumericalFailure:
-    @pytest.mark.parametrize("exc", [QuadratureError("tolerance not met"),
-                                     ExtrapolationError("no contraction")])
+    @pytest.mark.parametrize("exc", [QuadratureError("tolerance not met")])
     def test_exit_three(self, capsys, monkeypatch, exc):
         def failing(*args, **kwargs):
             raise exc
@@ -268,6 +267,34 @@ class TestOutputAndConfig:
         assert code == 0
         _, rows = parse_csv(out)
         assert len(rows) == 3
+
+    def test_flag_equal_to_its_default_overrides_config(self, capsys,
+                                                         tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta = 0.8\na = 2.0\n")
+        argv = ("dispersion", "--samples", "3", "--a", "1.5")
+        code, out, _ = run(capsys, *argv, "--config", str(cfg))
+        assert code == 0
+        assert out == run(capsys, *argv, "--delta", "0.8")[1]
+
+    def test_config_value_outside_choices(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 1.0\nformat = xml\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["constants", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+
+    def test_config_switch_must_be_boolean(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        argv = ("dispersion", "--delta", "0.8", "--samples", "2",
+                "--config", str(cfg))
+        cfg.write_text("limit = yes please\n")
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "limit" in err
+        cfg.write_text("limit = yes\n")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("kh,omega2_wm,omega2_limit\n")
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

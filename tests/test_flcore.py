@@ -232,6 +232,14 @@ class TestEigenvalue:
             got = fl_eigenvalue(rep, alpha, k, n=1, m=m)
             assert got == pytest.approx(-(k ** alpha), rel=1e-7)
 
+    @pytest.mark.parametrize("alpha", [2.707543549660725, 5.131])
+    def test_regularized_meets_its_tolerance(self, alpha):
+        # the cos profile's body spans ~200 periods; with one starting
+        # panel its Kronrod and Gauss estimates could agree by accident
+        k = 1.7
+        got = fl_eigenvalue("regularized", alpha, k)
+        assert abs(got + k ** alpha) <= 1e-10 * k ** alpha
+
     def test_dimension_independent(self):
         for n in (1, 2, 3):
             got = fl_eigenvalue("standard", 1.2, 1.5, n=n)

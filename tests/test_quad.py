@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraclap.constants import gamma
-from fraclap.quad import (QuadratureError, _richardson, i_reg,
-                          integrate_adaptive, kernel_moment,
-                          osc_power_tail, reg_halfline, reg_kernel)
+from fraclap.quad import (QuadratureError, i_reg, integrate_adaptive,
+                          kernel_moment, osc_power_tail, reg_halfline,
+                          reg_kernel)
 
 
 def reg_kernel_rotated(xi, alpha, eps):
@@ -97,6 +97,16 @@ class TestKernelMoment:
         with pytest.raises(ValueError):
             kernel_moment(3, 0.9, 0.01, 1.0)
 
+    @pytest.mark.parametrize("q,a,cut", [(0, 0.6, 0.5), (2, 1.2, 0.3),
+                                         (4, 2.5, 0.7), (0, 3.3, 0.25)])
+    def test_eps_to_zero_is_linear(self, q, a, cut):
+        # reg_halfline takes the moments at eps = 0: the eps > 0 moments
+        # approach them with error proportional to eps
+        lim = kernel_moment(q, a, 0.0, cut)
+        d1, d2 = (kernel_moment(q, a, eps, cut) - lim
+                  for eps in (5e-4, 2.5e-4))
+        assert d1 / d2 == pytest.approx(2.0, abs=0.02)
+
 
 class TestOscPowerTail:
     def test_reference_value(self):
@@ -143,15 +153,6 @@ class TestIReg:
             i_reg(1.0, -0.5)
 
 
-class TestRichardson:
-    def test_geometric_sequence_collapses(self):
-        # v_j = L + c * 2^-j is eliminated by the first column
-        L, c = 3.7, 0.9
-        vals = [L + c * 0.5 ** j for j in range(6)]
-        tab = _richardson(vals)
-        assert tab[1][-1] == pytest.approx(L, abs=1e-13)
-
-
 class TestRegHalfline:
     def test_cosine_moment(self):
         # int_0^inf cos(xi) Re(eps-i xi)^(-a-1) dxi -> pi / (2 Gamma(a+1))
@@ -161,7 +162,7 @@ class TestRegHalfline:
                                     tail="cos", omega=1.0)
             exact = 0.5 * math.pi / gamma(a + 1.0)
             assert val == pytest.approx(exact, abs=5e-9)
-            assert err < 1e-6
+            assert abs(val - exact) <= err < 1e-6
 
     def test_indicator_matches_closed_form(self):
         for a in (0.5, 1.0, 1.5):
@@ -181,6 +182,23 @@ class TestRegHalfline:
         oper = mp.quad(lambda k: -(k ** a) * mp.sqrt(mp.pi)
                        * mp.e ** (-k * k / 4), [0, mp.inf]) / mp.pi
         assert float(spec) == pytest.approx(float(oper), rel=1e-8)
+
+    @pytest.mark.parametrize("a", [0.6, 1.2, 2.5, 3.3])
+    def test_is_the_eps_limit(self, a):
+        # direct quadrature of the eps-regularized integral approaches the
+        # closed-form limit linearly in eps; one Richardson step recovers it
+        f = lambda t: np.exp(-t * t)
+        lim, _ = reg_halfline(f, a, derivs=gauss_derivs, tail="decay")
+
+        def direct(eps):
+            return integrate_adaptive(lambda t: f(t) * reg_kernel(t, a, eps),
+                                      0.0, 30.0, tol=1e-11,
+                                      points=[eps, 10.0 * eps, 1.0])[0]
+
+        eps = 5e-3
+        big, small = direct(eps), direct(0.5 * eps)
+        assert (big - lim) / (small - lim) == pytest.approx(2.0, abs=0.02)
+        assert abs(2.0 * small - big - lim) < 1e-4
 
     def test_requires_taylor_data(self):
         with pytest.raises(ValueError):
