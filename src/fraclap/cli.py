@@ -112,8 +112,7 @@ def cmd_dispersion(args):
     p = SelfSimilarParams(delta=args.delta, a=args.a, m=args.m,
                           tol=args.tol)
     khs = np.linspace(args.kh_min, args.kh_max, args.samples)
-    amp = (wm_limit_amplitude(p, 1.0, tol=args.tol) / p.zeta
-           if args.limit else None)
+    amp = wm_limit_amplitude(p, 1.0) / p.zeta if args.limit else None
     header = ["kh", "omega2_wm"] + (["omega2_limit"] if args.limit else [])
     rows = []
     for kh in khs:
@@ -204,7 +203,7 @@ def cmd_converge(args):
     rows = []
     a = args.a_start
     p0 = SelfSimilarParams(delta=args.delta, a=2.0, m=args.m, tol=args.tol)
-    limit = wm_limit_amplitude(p0, args.kh, tol=args.tol)
+    limit = wm_limit_amplitude(p0, args.kh)
     for _ in range(args.steps):
         p = SelfSimilarParams(delta=args.delta, a=a, m=args.m, tol=args.tol)
         val = math.log(a) * wm_dispersion(args.kh, p)
@@ -279,7 +278,7 @@ def _selftest_cases():
     def lattice_limit_amplitude():
         p = SelfSimilarParams(delta=0.9, a=1.5, m=1)
         got = wm_limit_amplitude(p, 1.0)
-        want = constants.v_integral(1, 0.9)
+        want = constants.v_integral_quadrature(1, 0.9)
         return abs(got - want) < 1e-8 * want
 
     def potentials_ring():

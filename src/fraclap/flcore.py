@@ -227,17 +227,22 @@ def fl_regularized(u, x, alpha, tol=1e-10):
         raise DomainError("field cannot supply enough derivative data "
                           "for alpha = %g" % alpha)
 
+    qerr = []
+
     def compute(dirs, wts):
         derivs = _angular_derivs(u, x, dirs, wts, range(0, qmax + 1, 2))
 
         def profile(r):
             return np.real(u.on_ray(x, dirs, r)) @ wts
 
-        return reg_halfline(profile, alpha, derivs, tol=tol, tail="decay",
-                            scale=scale, cutoff=big)[0]
+        val, err = reg_halfline(profile, alpha, derivs, tol=tol,
+                                tail="decay", scale=scale, cutoff=big)
+        qerr.append(err)
+        return val
 
     val, aerr = _angular_loop(compute, n, tol / max(abs(coef), 1e-3))
-    return FLResult(coef * val, abs(coef) * (aerr + tol),
+    # the value is the last rule's, so its radial quadrature estimate counts
+    return FLResult(coef * val, abs(coef) * (aerr + qerr[-1] + tol),
                     "regularized", alpha, n, None)
 
 

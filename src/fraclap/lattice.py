@@ -9,12 +9,14 @@ step-l difference of order q.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .constants import DomainError, check_order, diff_weights
+from .constants import DomainError, check_order, diff_weights, v_integral
 from .quad import integrate_adaptive
+
+# the most levels one sum may take; the count grows like 1/ln a as a -> 1
+_MAX_LEVELS = 10 ** 6
 
 
 @dataclass
@@ -51,62 +53,79 @@ def _level_range(p, amp_pos, amp_neg, decay_neg):
     """Symmetric truncation: largest |s| kept on each side.
 
     amp_pos bounds the summand for s >= 0 up to the factor a^(-delta*s);
-    amp_neg * a^(decay_neg*s) bounds it for s < 0 (decay_neg > 0).
+    amp_neg * a^(decay_neg*s) bounds it for s < 0 (decay_neg > 0).  Each
+    omitted tail stays below tol/2, so the two together stay below tol.
     """
     la = math.log(p.a)
-    rp = p.a ** (-p.delta)
-    s_pos = max(1, int(math.ceil(
-        math.log(max(amp_pos, 1e-300) / (p.tol * (1.0 - rp))) / (p.delta * la))))
-    rn = p.a ** (-decay_neg)
-    s_neg = max(1, int(math.ceil(
-        math.log(max(amp_neg, 1e-300) / (p.tol * (1.0 - rn))) / (decay_neg * la))))
-    return s_pos, s_neg
+    n = [math.log(max(amp, 1e-300) / (0.5 * p.tol * (1.0 - p.a ** -decay)))
+         / (decay * la) for amp, decay in ((amp_pos, p.delta),
+                                           (amp_neg, decay_neg))]
+    if not sum(n) <= _MAX_LEVELS:
+        # n falls at least like 1/ln a as a grows: scale ln a by the overshoot
+        raise DomainError("the level sum needs %.3g levels, over the budget "
+                          "of %d; use a >= %r" % (sum(n), _MAX_LEVELS,
+                              math.exp(min(la * sum(n) / _MAX_LEVELS, 709))))
+    return max(1, math.ceil(n[0])), max(1, math.ceil(n[1]))
 
 
-# 2*pi to 85 digits, as an exact rational; used to reduce the phases of
-# high dilation levels, where kh * a^s overflows double phase accuracy
-_TWO_PI = Fraction(
-    6283185307179586476925286766559005768394338798750211641949889184615632812572417997256069,
-    10 ** 87)
+def _reduced_phases(kh, a, s0, s1):
+    """Yield 0.5 kh a^s mod 2*pi for s = s0..s1, each correctly rounded.
 
-
-def _reduced_phase(half_kh, a_frac, s):
-    """0.5 * kh * a^s mod 2*pi in exact rational arithmetic.
-
-    Both kh and a are doubles, hence exact rationals, so the only error
-    is the 85-digit truncation of 2*pi scaled by the reduced quotient.
+    kh and a are dyadic rationals, so X_s = 0.5 kh a^s 2^F is an integer
+    recurrence, exact at s0 and then X <- floor(X num_a / den_a), reduced
+    modulo 2*pi 2^F only for output: (x mod 2*pi) a != x a mod 2*pi.  The
+    floors build up to a^(s1-s0) a/(a-1) units, so F holds the bits of the
+    top phase and of 1/(a-1) plus 80 guard bits.  2*pi 2^F comes from
+    Machin's pi/4 = 4 atan(1/5) - atan(1/239); 32 more guard bits absorb
+    the floor of each series term.
     """
-    x = half_kh * a_frac ** s
-    return float(x - (x // _TWO_PI) * _TWO_PI)
+    num_a, den_a = a.as_integer_ratio()
+    num_k, den_k = kh.as_integer_ratio()
+    bits = (80 + max(0, math.ceil(math.log2(kh) - 1 + s1 * math.log2(a)))
+            + max(0, math.ceil(-math.log2(a - 1.0))))
+
+    def atan_inv(x):
+        total, term, k = 0, (1 << (bits + 32)) // x, 0
+        while term:
+            total += (-1) ** k * (term // (2 * k + 1))
+            term, k = term // (x * x), k + 1
+        return total
+
+    two_pi = 8 * (4 * atan_inv(5) - atan_inv(239)) >> 32
+    up, down = (num_a, den_a) if s0 >= 0 else (den_a, num_a)
+    x = (num_k * up ** abs(s0) << bits) // (2 * den_k * down ** abs(s0))
+    for _ in range(s0, s1 + 1):
+        yield (x % two_pi) / (1 << bits)
+        x = (x * num_a) >> (den_a.bit_length() - 1)     # den_a = 2^j
 
 
 def wm_dispersion(kh, p):
     """omega^2(kh) = 4^m sum_s a^(-delta*s) sin^(2m)(kh a^s / 2).
 
-    Exactly self-similar: omega^2(a*kh) = a^delta omega^2(kh),
-    preserved numerically by exact rational phase reduction at high
-    levels (whenever the dilated product a*kh itself rounds exactly).
+    Exactly self-similar: omega^2(a*kh) = a^delta omega^2(kh), preserved
+    numerically by exact phase reduction at high levels (whenever the
+    dilated product a*kh itself rounds exactly).
     """
     if kh < 0.0:
         raise DomainError("kh must be >= 0")
     if kh == 0.0:
         return 0.0
     m, d = p.m, p.delta
-    amp_pos = 4.0 ** m
-    amp_neg = 4.0 ** m * (kh / 2.0) ** (2 * m)
-    s_pos, s_neg = _level_range(p, amp_pos, amp_neg, 2.0 * m - d)
-    s = np.arange(-s_neg, s_pos + 1)
-    ash = p.a ** s.astype(float)
-    phase = 0.5 * kh * ash
-    big = phase > 1e4
-    if np.any(big):
-        half_kh = Fraction(kh) / 2
-        a_frac = Fraction(p.a)
-        phase = phase.copy()
-        phase[big] = [_reduced_phase(half_kh, a_frac, int(sv))
-                      for sv in s[big]]
-    return float(4.0 ** m * np.sum(
-        p.a ** (-d * s.astype(float)) * np.sin(phase) ** (2 * m)))
+    s_pos, s_neg = _level_range(p, 4.0 ** m, 4.0 ** m * (kh / 2.0) ** (2 * m),
+                                2.0 * m - d)
+    s = np.arange(-s_neg, s_pos + 1).astype(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = 0.5 * kh * p.a ** s
+        i = int(np.searchsorted(phase, 1e4, side="right"))
+        phase[i:] = list(_reduced_phases(kh, p.a, i - s_neg, s_pos))
+        weight, sine = p.a ** (-d * s), np.sin(phase) ** (2 * m)
+        terms = weight * sine
+    # where a^(-delta*s) overflows or sin^(2m) underflows (deep s < 0), the
+    # product is inf*0 or loses bits; sin x = x there, so use the log form
+    deep = (s < 0) & ~((weight < math.inf) & (sine >= np.finfo(float).tiny))
+    terms[deep] = np.exp(2 * m * math.log(0.5 * kh)
+                         + (2 * m - d) * math.log(p.a) * s[deep])
+    return float(4.0 ** m * np.sum(terms))
 
 
 def selfsim_laplacian(u, x, p):
@@ -164,103 +183,59 @@ def wm_energy_density(u, x, p, f_m=1.0):
     return 0.5 * f_m * total
 
 
-def selfsim_series(f, delta, a, h=1.0, tol=1e-12, max_levels=40000):
+def selfsim_series(f, delta, a, h=1.0, tol=1e-12):
     """Direct level sum Lambda_a = sum_s a^(-delta*s) f(a^s h).
 
     f must vanish like a power > delta at 0 and stay bounded; both tails
     are cut when three consecutive terms fall below tol scaled by the
-    geometric remainder factor.
+    geometric remainder factor.  A non-finite term, or a tail longer than
+    the level budget, raises DomainError.
     """
     if a <= 1.0:
         raise DomainError("dilation a must exceed 1")
     total = 0.0
-    for sign in (1, -1):
-        quiet = 0
-        s = 0 if sign > 0 else -1
-        ratio = a ** (-delta) if sign > 0 else a ** (-1.0)
-        guard = tol * (1.0 - min(ratio, 0.99))
-        for _ in range(max_levels):
-            term = a ** (-delta * s) * float(f(a ** s * h))
+    for s0, step, ratio in ((0, 1, a ** (-delta)), (-1, -1, 1.0 / a)):
+        guard, quiet = tol * (1.0 - min(ratio, 0.99)), 0
+        for s in range(s0, s0 + step * _MAX_LEVELS, step):
+            try:
+                term = a ** (-delta * s) * float(f(a ** s * h))
+            except OverflowError:
+                term = math.inf
+            if not math.isfinite(term):
+                raise DomainError("level sum diverges at level %d; check "
+                                  "admissibility" % s)
             total += term
             quiet = quiet + 1 if abs(term) < guard else 0
             if quiet >= 3:
                 break
-            s += sign
         else:
-            raise DomainError("level sum did not converge; check admissibility")
+            raise DomainError("level sum did not converge in %d levels; "
+                              "check admissibility" % _MAX_LEVELS)
     return total
 
 
-def fractional_continuum_limit(f, delta, h=1.0, tol=1e-10,
-                               mean=None, period=None, cutoff=None):
+def fractional_continuum_limit(f, delta, h=1.0, tol=1e-10):
     """h^delta integral_0^inf f(tau) tau^(-delta-1) dtau.
 
     This is the a -> 1 limit of |ln a| * Lambda_a.  f must vanish faster
-    than tau^delta at the origin.  For bounded oscillatory profiles pass
-    the asymptotic mean and period: the mean integrates in closed form
-    beyond the quadrature radius and the zero-mean remainder is summed
-    period by period until the increments drop below tol.
+    than tau^delta at the origin and decay at infinity.
     """
     if not delta > 0.0:
         raise DomainError("delta must be positive")
     if h <= 0.0:
         raise DomainError("h must be positive")
-
-    def g(t):
-        return f(t) * t ** (-delta - 1.0)
-
-    if mean is not None:
-        if period is None or period <= 0.0:
-            raise DomainError("oscillatory tail needs a period")
-        big = max(cutoff or 0.0, 8.0 * period, 4.0)
-        body, _ = integrate_adaptive(g, 0.0, big, tol=0.2 * tol,
-                                     points=[min(1.0, 0.5 * big)])
-        tail = mean * big ** (-delta) / delta
-        # zero-mean remainder: one Kronrod panel per period, batched;
-        # the per-period integrals settle to one sign and decay like
-        # tau^(-delta-2), so the final geometric remainder is estimated
-        # by its integral and added
-        from .quad import _XK, _WK
-        lo = big
-        acc = 0.0
-        val = 0.0
-        done = False
-        for _ in range(400):
-            batch = 64
-            starts = lo + period * np.arange(batch)
-            mids = starts + 0.5 * period
-            nodes = mids[:, None] + 0.5 * period * _XK[None, :]
-            vals = 0.5 * period * (
-                (f(nodes) - mean) * nodes ** (-delta - 1.0)) @ _WK
-            for val in vals:
-                acc += val
-            lo += batch * period
-            if abs(vals[-1]) < 0.3 * tol and lo > big + 8 * period:
-                done = True
-                break
-        if not done:
-            raise DomainError("oscillatory tail did not converge")
-        acc += val * lo / ((delta + 1.0) * period)
-        return h ** delta * (body + tail + acc)
-
-    if cutoff is not None:
-        body, _ = integrate_adaptive(g, 0.0, cutoff, tol=0.5 * tol,
-                                     points=[min(1.0, 0.5 * cutoff)])
-        return h ** delta * body
-    body, _ = integrate_adaptive(g, 0.0, math.inf, tol=0.5 * tol,
-                                 points=[1.0])
+    body, _ = integrate_adaptive(lambda t: f(t) * t ** (-delta - 1.0),
+                                 0.0, math.inf, tol=0.5 * tol, points=[1.0])
     return h ** delta * body
 
 
 def wm_limit_amplitude(p, kh=1.0, tol=1e-10):
-    """Continuum-limit value lim |ln a| omega^2 = A'(delta) (kh)^delta,
-    computed by generic quadrature of the WM profile."""
-    m = p.m
-    mu = float(math.comb(2 * m, m))
+    """Continuum limit lim_{a -> 1} |ln a| omega^2(kh) = kh^delta V(m, delta).
 
-    def f(t):
-        return 4.0 ** m * np.sin(0.5 * kh * t) ** (2 * m)
-
-    per = 2.0 * math.pi / kh
-    return fractional_continuum_limit(f, p.delta, h=1.0, tol=tol,
-                                      mean=mu, period=per)
+    Substituting t = 2x/kh turns the limit integral of the level sum into
+    the radial integral V of constants.v_integral, a closed form that
+    meets any tol.
+    """
+    if kh < 0.0:
+        raise DomainError("kh must be >= 0")
+    return kh ** p.delta * v_integral(p.m, p.delta)

@@ -76,6 +76,45 @@ class TestDispersion:
             assert float(r[1]) == pytest.approx(float(r[2]), rel=2e-2)
 
 
+    @pytest.mark.parametrize("m,top", [(1, 1.9), (2, 3.85), (3, 5.75)])
+    def test_limit_column_is_the_closed_form(self, capsys, m, top):
+        # kh^delta V(m, delta) / ln a, V by quadrature; finite up to delta
+        # near 2m
+        for delta in [2 * m * j / 8 for j in range(1, 8)] + [top]:
+            code, out, _ = run(capsys, "dispersion", "--delta", str(delta),
+                               "--m", str(m), "--a", "1.5", "--kh-min", "0.5",
+                               "--kh-max", "2.0", "--samples", "3", "--limit",
+                               "--tol", "1e-10")
+            assert code == 0
+            v = constants.v_integral_quadrature(m, delta)
+            for r in parse_csv(out)[1]:
+                kh, limit = float(r[0]), float(r[2])
+                assert math.isfinite(limit)
+                assert limit * math.log(1.5) == pytest.approx(
+                    kh ** delta * v, rel=1e-9)
+
+    def test_finite_near_delta_2m(self, capsys):
+        code, out, _ = run(capsys, "dispersion", "--m", "3", "--delta",
+                           "5.75", "--a", "1.541", "--tol", "1e-10")
+        assert code == 0
+        rows = parse_csv(out)[1]
+        assert len(rows) == 121
+        assert all(math.isfinite(float(r[1])) for r in rows)
+
+
+class TestLevelBudget:
+    @pytest.mark.parametrize("argv", [
+        ["dispersion", "--delta", "0.8", "--a", "1.000001"],
+        ["converge", "--delta", "1.5", "--steps", "30"],
+    ])
+    def test_small_a_is_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "budget" in err
+        assert err.count("\n") == 1
+
+
 class TestApply:
     def test_alpha_zero_negates_field(self, capsys):
         code, out, _ = run(capsys, "apply", "--alpha", "0", "--rep",

@@ -196,8 +196,8 @@ class TestClosedFormND:
                      * mpmath.gamma(a / 2 + h) / mpmath.gamma(h)
                      * mpmath.hyp1f1(a / 2 + h, h, z))
 
-    # points on the diagonal at |x| = r for sigma = 1, and a 2-D point on
-    # the first axis whose reported error once fell short of the actual one
+    # points on the diagonal at |x| = r for sigma = 1, and two points
+    # whose reported error once fell short of the actual one
     CASES = [pytest.param(rep, alpha, n, r * np.ones(n) / math.sqrt(n), 1.0,
                           id="%s-%s-%s-%s" % (rep, alpha, n, r))
              for rep, alpha in [("standard", 0.7), ("standard", 1.6),
@@ -208,6 +208,8 @@ class TestClosedFormND:
                               np.array([-0.07115044720265384, 0.0]),
                               0.7257872456317662,
                               id="standard-1.838-2-axis-sigma0.726"))
+    CASES.append(pytest.param("regularized", 4.7, 3, np.zeros(3), 1.0,
+                              id="regularized-4.7-3-0.0"))
 
     @pytest.mark.parametrize("rep,alpha,n,x,sigma", CASES)
     def test_gaussian(self, rep, alpha, n, x, sigma):

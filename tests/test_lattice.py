@@ -1,16 +1,53 @@
 """Self-similar lattice sums, their dispersion, and the continuum limit."""
 
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fraclap.constants import DomainError, a_delta, gamma, v_integral
+from fraclap import lattice
+from fraclap.constants import DomainError, a_delta, gamma
 from fraclap.fields import Gaussian, PlaneWave
 from fraclap.lattice import (SelfSimilarParams, fractional_continuum_limit,
                              selfsim_laplacian, selfsim_series,
                              wm_dispersion, wm_energy_density,
                              wm_limit_amplitude)
+
+# 2*pi to 85 digits, as an exact rational: the phase reduction the
+# integer recurrence replaced, kept as its reference
+_TWO_PI = Fraction(
+    6283185307179586476925286766559005768394338798750211641949889184615632812572417997256069,
+    10 ** 87)
+
+
+def _reduced_phase(half_kh, a_frac, s):
+    """0.5 * kh * a^s mod 2*pi in exact rational arithmetic.
+
+    Both kh and a are doubles, hence exact rationals, so the only error
+    is the 85-digit truncation of 2*pi scaled by the reduced quotient.
+    """
+    x = half_kh * a_frac ** s
+    return float(x - (x // _TWO_PI) * _TWO_PI)
+
+
+def mp_dispersion(kh, a, delta, m, dps):
+    """4^m sum_s a^(-delta*s) sin^(2m)(kh a^s / 2) in mpmath at dps
+    digits; each omitted tail is below 4^m 1e-17."""
+    mp = pytest.importorskip("mpmath")
+    rp, rn = a ** -delta, a ** -(2 * m - delta)
+    with mp.workdps(dps):
+        aa, dd, half = mp.mpf(a), mp.mpf(delta), mp.mpf(kh) / 2
+        total, s = mp.mpf(0), 0
+        while rp ** s / (1 - rp) > 1e-17:
+            total += aa ** (-dd * s) * mp.sin(half * aa ** s) ** (2 * m)
+            s += 1
+        s = -1
+        while (kh / 2) ** (2 * m) * rn ** -s / (1 - rn) > 1e-17:
+            total += aa ** (-dd * s) * mp.sin(half * aa ** s) ** (2 * m)
+            s -= 1
+        return float(4 ** m * total)
 
 
 class TestParams:
@@ -54,6 +91,31 @@ class TestWmDispersion:
             rhs = a ** d * wm_dispersion(kh, p)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("kh,a,d,m,tol,dps", [
+        # small delta: phases reach 1e70 (delta 0.1) to 1e300 (delta 0.05)
+        (1.0, 2.0, 0.1, 1, 1e-10, 400),
+        (1.0, 1.5, 0.1, 1, 1e-10, 400),
+        (1.0, 2.0, 0.05, 1, 1e-10, 400),
+        # both tails near tol: within tol only if they share it
+        (0.10271583732603634, 1.1059345128615083, 1.5356190374938832, 1,
+         1e-9, 60),
+        # delta near 2m: a^(-delta*s) overflows at the deepest levels
+        (3.0, 1.541, 5.75, 3, 1e-10, 60),
+    ])
+    def test_within_tol_of_mpmath(self, kh, a, d, m, tol, dps):
+        got = wm_dispersion(kh, SelfSimilarParams(delta=d, a=a, m=m, tol=tol))
+        assert abs(got - mp_dispersion(kh, a, d, m, dps)) <= tol
+
+    def test_level_budget(self):
+        p = SelfSimilarParams(delta=0.8, a=1.000001, tol=1e-9)
+        with pytest.raises(DomainError, match="budget") as err:
+            wm_dispersion(1.0, p)
+        # the a the message names fits the budget
+        a_min = float(str(err.value).rsplit(">= ", 1)[1])
+        assert 1.00001 < a_min < 1.001
+        lattice._level_range(SelfSimilarParams(delta=0.8, a=a_min, tol=1e-9),
+                             4.0, 1.0, 1.2)
+
     def test_positive(self):
         p = SelfSimilarParams(delta=0.9, a=1.7, m=2)
         assert wm_dispersion(0.8, p) > 0.0
@@ -62,6 +124,24 @@ class TestWmDispersion:
         p = SelfSimilarParams(delta=0.9, a=1.7)
         with pytest.raises(DomainError):
             wm_dispersion(-1.0, p)
+
+
+class TestReducedPhases:
+    @pytest.mark.parametrize("a", [1.1, 1.05, 1.02, 1.01])
+    @pytest.mark.parametrize("d", [0.8, 0.3])
+    def test_match_exact_rational_reduction(self, a, d):
+        # the levels wm_dispersion reduces; below phase 1e70 the 85-digit
+        # rational 2*pi is exact to far below one rounding
+        rng = random.Random(7)
+        for kh in (0.37, 1.0, 2.9):
+            p = SelfSimilarParams(delta=d, a=a, tol=1e-10)
+            s_pos, _ = lattice._level_range(p, 4.0, (kh / 2) ** 2, 2.0 - d)
+            s0 = math.ceil(math.log(1e4 / (0.5 * kh)) / math.log(a))
+            got = list(lattice._reduced_phases(kh, a, s0, s_pos))
+            assert 0.5 * kh * a ** s_pos < 1e70
+            for s in rng.sample(range(s0, s_pos + 1), 25):
+                assert got[s - s0] == _reduced_phase(
+                    Fraction(kh) / 2, Fraction(a), s)
 
 
 class TestSelfsimLaplacian:
@@ -134,7 +214,7 @@ class TestSelfsimSeries:
     def test_rejects_divergent_profile(self):
         # profile without decay at 0 makes the negative tail diverge
         with pytest.raises(DomainError):
-            selfsim_series(lambda t: 1.0, 0.5, 1.5, max_levels=2000)
+            selfsim_series(lambda t: 1.0, 0.5, 1.5)
 
 
 class TestContinuumLimit:
@@ -145,28 +225,9 @@ class TestContinuumLimit:
             lambda t: t ** 2 * np.exp(-t), d, h=h)
         assert got == pytest.approx(h ** d * gamma(2.0 - d), rel=1e-9)
 
-    def test_oscillatory_mean_route(self):
-        # 4 sin^2(t/2) has mean 2 and period 2 pi; the limit value is the
-        # m = 1 radial constant
-        d = 0.6
-        got = fractional_continuum_limit(
-            lambda t: 4.0 * np.sin(0.5 * t) ** 2, d,
-            mean=2.0, period=2.0 * math.pi)
-        assert got == pytest.approx(v_integral(1, d), rel=1e-8)
-
-    def test_cutoff_mode(self):
-        d = 0.5
-        full = fractional_continuum_limit(
-            lambda t: t ** 2 * np.exp(-t), d)
-        cut = fractional_continuum_limit(
-            lambda t: t ** 2 * np.exp(-t), d, cutoff=60.0)
-        assert cut == pytest.approx(full, rel=1e-8)
-
     def test_domain(self):
         with pytest.raises(DomainError):
             fractional_continuum_limit(lambda t: t, 0.0)
-        with pytest.raises(DomainError):
-            fractional_continuum_limit(lambda t: t, 0.5, mean=1.0)
 
 
 class TestWmLimitAmplitude:
