@@ -142,18 +142,24 @@ def cmd_apply(args):
     oracle_vals = None
     if (args.field == "gaussian" and args.n == 1
             and args.sigma * 14.0 <= args.oracle_length):
-        grid = np.linspace(-args.oracle_length / 2.0, args.oracle_length / 2.0,
-                           args.oracle_samples, endpoint=False)
-        gf = GridField(np.exp(-(grid / args.sigma) ** 2), args.oracle_length)
-        spectral = dft_fl(gf, args.alpha)
-        dx = args.oracle_length / args.oracle_samples
-        oracle_vals = []
-        for x in xs:
-            j = int(round((x + args.oracle_length / 2.0) / dx))
-            if not 0 <= j < args.oracle_samples or abs(grid[j] - x) > 1e-9 * max(1.0, abs(x)) + 1e-12:
-                oracle_vals.append(None)
-            else:
-                oracle_vals.append(float(spectral[j]))
+        half, n_grid = args.oracle_length / 2.0, args.oracle_samples
+        dx = args.oracle_length / n_grid
+        oracle_vals = [None] * len(xs)
+        # the grid resolves the field only if the Gaussian's spectrum at
+        # its Nyquist wavenumber is below tol
+        if math.exp(-(math.pi * args.sigma / (2.0 * dx)) ** 2) > args.tol:
+            print("note: %d oracle samples cannot resolve sigma = %r; oracle "
+                  "and abs_diff left as nan" % (n_grid, args.sigma),
+                  file=sys.stderr)
+        else:
+            grid = np.linspace(-half, half, n_grid, endpoint=False)
+            spectral = dft_fl(GridField(np.exp(-(grid / args.sigma) ** 2),
+                                        args.oracle_length), args.alpha)
+            for i, x in enumerate(xs):
+                j = int(round((x + half) / dx))
+                if 0 <= j < n_grid and abs(grid[j] - x) <= 1e-9 * max(
+                        1.0, abs(x)) + 1e-12:
+                    oracle_vals[i] = float(spectral[j])
 
     header = ["x", "value"]
     if oracle_vals is not None:

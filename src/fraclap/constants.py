@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .quad import integrate_adaptive, osc_power_tail
+from .quad import finite_part
 
 
 class DomainError(ValueError):
@@ -128,52 +128,32 @@ def unit_sphere_moment(n, alpha):
             * gamma(0.5 * (alpha + 1.0)) / gamma(0.5 * (alpha + n)))
 
 
-def _sin_power_fourier(m):
-    # sin^(2m) x = mu + sum_j c_j cos(2 j x)
-    mu = math.comb(2 * m, m) / 4.0 ** m
-    cs = [2.0 * (-1) ** j * math.comb(2 * m, m - j) / 4.0 ** m
-          for j in range(1, m + 1)]
-    return mu, cs
-
-
 def v_integral_quadrature(m, alpha, tol=1e-12):
     """V(m, alpha) = 2^(2m-alpha) integral_0^inf sin^(2m) x / x^(alpha+1).
 
-    Three regions: the Taylor series of sin^(2m) integrates term by term
-    below x0 (the adaptive rule cannot resolve the x^(2m-alpha-1)
-    endpoint when alpha is close to 2m); adaptive quadrature runs up to
-    a moderate radius; beyond it the Fourier mean of sin^(2m) integrates
-    in closed form and each cosine harmonic is summed by the asymptotic
-    tail expansion.
+    The finite-part driver takes it in three regions: the Taylor series of
+    sin^(2m) term by term below x = 1/2 (the adaptive rule cannot resolve
+    the x^(2m-alpha-1) endpoint when alpha is close to 2m), adaptive
+    quadrature up to 60 pi, and beyond that the Fourier series of sin^(2m)
+    term by term in closed form.
     """
     _check_mv(m, alpha)
-    big = 60.0 * math.pi
-    x0 = 0.5
-    mu, cs = _sin_power_fourier(m)
-
-    # sin^(2m) x = sum_t g_2t x^(2t); coefficients from the finite
-    # cosine expansion (entire, so the series converges fast for x < 1)
-    head = 0.0
-    for t in range(0, 80):
-        if abs(2 * t - alpha) < 1e-12:
-            continue    # g vanishes there analytically (t < m, alpha even)
-        g = (mu if t == 0 else 0.0) + sum(
-            c * (-1.0) ** t * (2.0 * j) ** (2 * t) / math.factorial(2 * t)
-            for j, c in enumerate(cs, start=1))
-        term = g * x0 ** (2 * t - alpha) / (2 * t - alpha)
-        head += term
-        if t > m and abs(term) < 1e-17:
-            break
-
-    def f(x):
-        return np.sin(x) ** (2 * m) / x ** (alpha + 1.0)
-
-    body, _ = integrate_adaptive(f, x0, big, tol=tol, points=[1.0])
-    tail = mu * big ** (-alpha) / alpha
-    for j, c in enumerate(cs, start=1):
-        t, _ = osc_power_tail(2.0 * j, big, alpha + 1.0)
-        tail += c * t
-    return 2.0 ** (2 * m - alpha) * (head + body + tail)
+    # sin^(2m) x = sum of c cos(omega x) over these (c, omega)
+    waves = [((2.0 if j else 1.0) * (-1) ** j * math.comb(2 * m, m - j)
+              / 4.0 ** m, 2.0 * j) for j in range(m + 1)]
+    # sin^(2m) x = x^(2m) (sin x / x)^(2m), a power of a series in x^2 that
+    # does not cancel; each cos(omega x) leaves out at most (omega x)^q / q!
+    sinc = [(-1.0) ** k / math.factorial(2 * k + 1) for k in range(20)]
+    series = [1.0]
+    for _ in range(2 * m):
+        series = np.convolve(series, sinc)[:20]
+    q = 2 * m + 40
+    rem = (sum(abs(c) * w ** q for c, w in waves) / math.factorial(q),
+           q - alpha)
+    val, _ = finite_part(lambda x: np.sin(x) ** (2 * m), alpha,
+                         {2 * (m + k): g for k, g in enumerate(series)}, rem,
+                         tol, 60.0 * math.pi, 1.0, waves, [1.0])
+    return 2.0 ** (2 * m - alpha) * val
 
 
 def v_integral(m, alpha):

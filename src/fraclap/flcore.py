@@ -25,7 +25,7 @@ from .constants import (DomainError, c_standard_levy, diff_weights, gamma,
                         norm_constants, unit_sphere_moment,
                         v_integral_quadrature)
 from .fields import PlaneWave
-from .quad import integrate_adaptive, reg_halfline
+from .quad import finite_part, reg_halfline
 
 
 @dataclass
@@ -94,39 +94,27 @@ def _radial_singular(u, x, alpha, m, qmax, tol, dirs, wts):
 
     tiny = tol * 1e-2
     big = u.decay_radius(x, tiny)
-    scale = _field_scale(u)
 
     moments = _stencil_moments(offs, w, qmax + 2)
     # series coefficients from order 2m up; the order-0 sum feeds the tail
     qs = [q for q in range(2 * m, qmax + 1, 2) if moments[q] != 0.0]
     derivs = _angular_derivs(u, x, dirs, wts, [0] + qs)
-    coeffs = {q: moments[q] * derivs[q] / math.factorial(q) for q in qs}
-
-    # matching radius: Taylor remainder of the stencil below tol
-    rs = 0.5 * min(scale, 1.0)
-    bound_sup = u.sup_line_deriv(qmax + 2)
-    for _ in range(60):
-        nxt = (abs(moments[qmax + 2]) * bound_sup * omega_tot
-               * rs ** (qmax + 2 - alpha)
-               / (math.factorial(qmax + 2) * (qmax + 2 - alpha)))
-        if nxt < 0.25 * tol or rs < 1e-4 * scale:
-            break
-        rs *= 0.5
-    inner = sum(c * rs ** (q - alpha) / (q - alpha)
-                for q, c in coeffs.items())
+    taylor = {q: moments[q] * derivs[q] / math.factorial(q) for q in qs}
+    # the first order left out, bounded through the sup of its derivative
+    q = qmax + 2
+    rem = (abs(moments[q]) * u.sup_line_deriv(q) * omega_tot
+           / math.factorial(q), q - alpha)
 
     # a ray call per stencil offset: batches 2m+1 times smaller in memory
     def profile(r):
-        vals = [np.real(u.on_ray(x, dirs, p * r)) @ wts for p in offs]
-        return (w @ vals) * r ** (-1.0 - alpha)
+        return w @ [np.real(u.on_ray(x, dirs, p * r)) @ wts for p in offs]
 
-    body, qerr = integrate_adaptive(profile, rs, big, tol=0.25 * tol,
-                                    points=[1.0] if rs < 1.0 < big else [])
     # beyond the decay radius only the central weight survives
     w0 = float(w[offs == 0][0])
-    tail = w0 * derivs[0] * big ** (-alpha) / alpha
-    err = nxt + qerr + omega_tot * 4.0 ** m * tiny * big ** (-alpha) / alpha
-    return inner + body + tail, err
+    val, err = finite_part(profile, alpha, taylor, rem, tol, big,
+                           min(_field_scale(u), 1.0),
+                           [(w0 * derivs[0], 0.0)], [1.0])
+    return val, err + omega_tot * 4.0 ** m * tiny * big ** (-alpha) / alpha
 
 
 def _angular_loop(compute, n, tol):
@@ -151,9 +139,8 @@ def _difference_form(u, x, alpha, m, coef, label, tol):
     radial singular integral."""
     n = u.n
     if isinstance(u, PlaneWave):
-        vq = v_integral_quadrature(m, alpha, tol=min(tol, 1e-12))
         eig = (coef * unit_sphere_moment(n, alpha)
-               * (-(u.wavenumber ** alpha) * vq))
+               * (-(u.wavenumber ** alpha) * _plane_wave_v(m, alpha, tol)))
         u0 = u(np.atleast_1d(np.asarray(x, dtype=float)))
         return FLResult(eig * u0, abs(eig) * 1e-11, label, alpha, n, m)
 
@@ -244,6 +231,13 @@ def fl_regularized(u, x, alpha, tol=1e-10):
     # the value is the last rule's, so its radial quadrature estimate counts
     return FLResult(coef * val, abs(coef) * (aerr + qerr[-1] + tol),
                     "regularized", alpha, n, None)
+
+
+@functools.lru_cache(maxsize=64)
+def _plane_wave_v(m, alpha, tol):
+    # the radial factor of a difference form on a plane wave, V(m, alpha)
+    # by real quadrature; like the cos moment below, a sweep over k reuses it
+    return v_integral_quadrature(m, alpha, tol=min(tol, 1e-12))
 
 
 @functools.lru_cache(maxsize=64)

@@ -49,17 +49,16 @@ class SelfSimilarParams:
         return math.log(self.a)
 
 
-def _level_range(p, amp_pos, amp_neg, decay_neg):
+def _level_range(p, log_pos, log_neg, decay_neg):
     """Symmetric truncation: largest |s| kept on each side.
 
-    amp_pos bounds the summand for s >= 0 up to the factor a^(-delta*s);
-    amp_neg * a^(decay_neg*s) bounds it for s < 0 (decay_neg > 0).  Each
-    omitted tail stays below tol/2, so the two together stay below tol.
+    e^log_pos bounds the summand for s >= 0 up to the factor a^(-delta*s);
+    e^log_neg * a^(decay_neg*s) bounds it for s < 0 (decay_neg > 0), in
+    logs so that no bound overflows.  Each omitted tail stays below tol/2.
     """
     la = math.log(p.a)
-    n = [math.log(max(amp, 1e-300) / (0.5 * p.tol * (1.0 - p.a ** -decay)))
-         / (decay * la) for amp, decay in ((amp_pos, p.delta),
-                                           (amp_neg, decay_neg))]
+    n = [(amp - math.log(0.5 * p.tol * (1.0 - p.a ** -decay))) / (decay * la)
+         for amp, decay in ((log_pos, p.delta), (log_neg, decay_neg))]
     if not sum(n) <= _MAX_LEVELS:
         # n falls at least like 1/ln a as a grows: scale ln a by the overshoot
         raise DomainError("the level sum needs %.3g levels, over the budget "
@@ -111,8 +110,8 @@ def wm_dispersion(kh, p):
     if kh == 0.0:
         return 0.0
     m, d = p.m, p.delta
-    s_pos, s_neg = _level_range(p, 4.0 ** m, 4.0 ** m * (kh / 2.0) ** (2 * m),
-                                2.0 * m - d)
+    s_pos, s_neg = _level_range(p, m * math.log(4.0),
+                                2 * m * math.log(kh), 2.0 * m - d)
     s = np.arange(-s_neg, s_pos + 1).astype(float)
     with np.errstate(over="ignore", invalid="ignore"):
         phase = 0.5 * kh * p.a ** s
@@ -134,26 +133,27 @@ def selfsim_laplacian(u, x, p):
     offs, w = diff_weights(m)
     u0 = u(np.atleast_1d(np.asarray(x, dtype=float)))
     sup_u = max(abs(u0), 1.0)
-    amp_pos = 4.0 ** m * sup_u
-    amp_neg = p.h ** (2 * m) * u.sup_line_deriv(2 * m)
-    s_pos, s_neg = _level_range(p, amp_pos, amp_neg, 2.0 * m - d)
+    sup_d = u.sup_line_deriv(2 * m)
+    s_pos, s_neg = _level_range(p, math.log(4.0 ** m * sup_u),
+                                2 * m * math.log(p.h) + math.log(sup_d),
+                                2.0 * m - d)
     total = 0.0 + 0.0j
     direction = np.ones(1)
     sign = (-1.0) ** (m + 1)
     for s in range(-s_neg, s_pos + 1):
         step = p.h * p.a ** s
-        if step ** (2 * m) * u.sup_line_deriv(2 * m) < 1e-5 * sup_u:
+        if step ** (2 * m) * sup_d < 1e-5 * sup_u:
             # the direct difference is dominated by cancellation noise
             # here; (4 sinh^2(z/2))^m = z^2m (1 + m z^2/12 + ...) gives
-            # the same value in Taylor form without it
-            diff = sign * step ** (2 * m) * (
+            # the same value in Taylor form without it, and the level
+            # weight a^(-delta*s) step^2m is h^2m a^((2m-delta)s)
+            total += sign * p.h ** (2 * m) * p.a ** ((2 * m - d) * s) * (
                 complex(u.line_deriv(x, direction, 2 * m))
                 + (m / 12.0) * step ** 2
                 * complex(u.line_deriv(x, direction, 2 * m + 2)))
         else:
             vals = u.on_ray(x, direction, offs.astype(float) * step)
-            diff = complex(w @ vals)
-        total += p.a ** (-d * s) * diff
+            total += p.a ** (-d * s) * complex(w @ vals)
     if abs(total.imag) <= 1e-13 * max(abs(total.real), 1.0):
         return total.real
     return total
@@ -163,6 +163,8 @@ def wm_energy_density(u, x, p, f_m=1.0):
     """(f_m/2) sum_s a^(-delta*s) [(D(h a^s) - 1)^m u(x)]^2.
 
     Scales as a^delta under h -> a*h; admissible for 0 < delta < 2m.
+    Small steps take the difference in Taylor form, from the line
+    derivatives of orders m to m + 13.
     """
     m, d = p.m, p.delta
     c = np.array([(-1.0) ** (m - j) * math.comb(m, j)
@@ -170,16 +172,30 @@ def wm_energy_density(u, x, p, f_m=1.0):
     offs = np.arange(m + 1, dtype=float)
     sup_u = 1.0 if u.wavenumber is not None else max(
         abs(float(np.real(u(np.atleast_1d(np.asarray(x, dtype=float)))))), 1.0)
-    amp_pos = (2.0 ** m * sup_u) ** 2
-    amp_neg = (p.h ** m * u.sup_line_deriv(m)) ** 2
-    s_pos, s_neg = _level_range(p, amp_pos, amp_neg, 2.0 * m - d)
+    sup_d = u.sup_line_deriv(m)
+    s_pos, s_neg = _level_range(p, 2.0 * math.log(2.0 ** m * sup_u),
+                                2.0 * (m * math.log(p.h) + math.log(sup_d)),
+                                2.0 * m - d)
+    # (e^z - 1)^m = z^m sum_k b_k z^k: 14 terms of the power of (e^z - 1)/z
+    b, derivs = np.ones(1), None
+    for _ in range(m):
+        b = np.convolve(b, [1 / math.factorial(k) for k in range(1, 15)])[:14]
     total = 0.0
     direction = np.ones(1)
     for s in range(-s_neg, s_pos + 1):
         step = p.h * p.a ** s
-        vals = u.on_ray(x, direction, offs * step)
-        diff = float(np.real(c @ vals))
-        total += p.a ** (-d * s) * diff * diff
+        if step ** m * sup_d < 1e-5 * sup_u:
+            # Taylor form where the direct difference is cancellation noise,
+            # as in selfsim_laplacian
+            if derivs is None:
+                derivs = np.array([u.line_deriv(x, direction, m + k)
+                                   for k in range(14)])
+            diff = float(np.real(np.polyval((b * derivs)[::-1], step)))
+            total += p.h ** (2 * m) * p.a ** ((2 * m - d) * s) * diff * diff
+        else:
+            vals = u.on_ray(x, direction, offs * step)
+            diff = float(np.real(c @ vals))
+            total += p.a ** (-d * s) * diff * diff
     return 0.5 * f_m * total
 
 

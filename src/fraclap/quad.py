@@ -1,16 +1,12 @@
-"""Adaptive quadrature and epsilon-regularized half-line integrals.
+"""Adaptive quadrature and the one finite-part driver for singular radial
+integrals.
 
-The half-line machinery integrates a smooth even profile f against the
-kernel Re (eps - i*xi)^(-alpha-1) in the limit eps -> 0+.  The integral
-is assembled from three pieces, each of which has its limit in closed
-form, so no eps is ever set:
-
-  * moments of the kernel against the Taylor polynomial of f on
-    (0, xi_s), taken at eps = 0 (Hadamard finite parts below alpha),
-  * ordinary adaptive quadrature on (xi_s, R) of f against the tempered
-    power -sin(pi*alpha/2) * xi^(-alpha-1), the uniform limit of the
-    kernel away from the origin,
-  * an analytic tail beyond R (decaying or cosine profiles).
+finite_part takes the Hadamard finite part of integral_0^inf f(r)
+r^(-1-alpha) dr for a smooth even profile f: its Taylor series term by
+term below a matching radius, adaptive quadrature beyond it, and a closed
+form past the quadrature radius.  The regularized half-line integral
+(reg_halfline), the difference forms (flcore) and the radial constant V
+(constants) call it with their own profile and Taylor data.
 """
 
 import cmath
@@ -199,6 +195,37 @@ def i_reg(xi0, alpha):
     return sin_half_pi(alpha) / alpha * xi0 ** (-alpha)
 
 
+def finite_part(f, alpha, taylor, rem, tol, big, scale=1.0, waves=(),
+                points=()):
+    """Hadamard finite part of integral_0^inf f(r) r^(-1-alpha) dr.
+
+    taylor maps even q (never alpha) to the coefficient of r^q in f at 0,
+    and K r^e / e, with rem = (K, e), bounds the rest of the series
+    against the power on (0, r).  The matching radius r_s halves from
+    scale/2 until that is below tol/20 (or r_s below 1e-4*scale); the
+    series integrates term by term below it and adaptive quadrature to
+    tol/4 covers (r_s, big).  Beyond big f is the sum of a*cos(omega*r)
+    over waves = [(a, omega)], integrated in closed form.  Returns (value,
+    error): remainder bound + quadrature estimate + tail bounds.
+    """
+    k, e = rem
+    rs = 0.5 * scale
+    while k * rs ** e / e >= 0.05 * tol and rs >= 1e-4 * scale:
+        rs *= 0.5
+    head = sum(c * rs ** (q - alpha) / (q - alpha) for q, c in taylor.items())
+    body, err = integrate_adaptive(lambda r: f(r) * r ** (-1.0 - alpha),
+                                   rs, big, tol=0.25 * tol, points=points)
+    tail = 0.0
+    for a, omega in waves:
+        if omega == 0.0:
+            tail += a * big ** (-alpha) / alpha
+        else:
+            val, bound = osc_power_tail(omega, big, alpha + 1.0)
+            tail += a * val
+            err += abs(a) * bound
+    return head + body + tail, err + k * rs ** e / e
+
+
 def reg_halfline(f, alpha, derivs, tol=1e-10, tail="decay", scale=1.0,
                  omega=None, cutoff=None):
     """eps -> 0+ limit of integral_0^inf f(xi) Re(eps-i*xi)^(-alpha-1) dxi.
@@ -210,9 +237,10 @@ def reg_halfline(f, alpha, derivs, tol=1e-10, tail="decay", scale=1.0,
     profile f = cos(omega*xi).  cutoff sets the quadrature radius of a
     decaying profile (default 30*scale).
 
-    Each piece is evaluated at its eps = 0 limit (see the module
-    docstring).  Returns (value, error_estimate), the estimate summing
-    the quadrature and tail errors, the Taylor remainder and 0.1*tol.
+    The kernel tends to -sin(pi*alpha/2) xi^(-alpha-1) away from 0 and its
+    moments at eps = 0 (kernel_moment) are that power's finite parts, so
+    the limit is -sin(pi*alpha/2) times finite_part.  Returns (value,
+    error_estimate).
     """
     from .constants import sin_half_pi
     if alpha < 0.0:
@@ -220,50 +248,38 @@ def reg_halfline(f, alpha, derivs, tol=1e-10, tail="decay", scale=1.0,
 
     # Taylor data of the even profile at 0
     get = derivs if callable(derivs) else derivs.get
-    orders = []
-    q = 0
-    while True:
+    taylor = {}
+    for q in range(0, 17, 2):
         v = get(q)
         if v is None:
             break
-        orders.append((q, v / math.factorial(q)))
-        q += 2
-        if q > 16:
-            break
-    if not orders:
+        taylor[q] = v / math.factorial(q)
+    if not taylor:
         raise ValueError("need at least f(0)")
-    qmax = orders[-1][0]
+    qmax = max(taylor)
     if qmax <= alpha:
         raise ValueError("need Taylor data beyond order alpha")
-
-    # inner matching radius: small enough for the Taylor remainder
-    xi_s = 0.25 * scale
-    for _ in range(40):
-        rem = abs(orders[-1][1]) * xi_s ** (qmax - alpha) / (qmax - alpha)
-        if rem < 0.05 * tol or xi_s < 1e-3 * scale:
-            break
-        xi_s *= 0.5
 
     # outer radius, and split points that keep each starting panel short
     # enough for the Kronrod-Gauss estimate to see the profile
     if tail == "decay":
         big = cutoff if cutoff is not None else 30.0 * scale
-        split = [1.0]
+        split, waves = [1.0], []
     elif tail == "cos":
         if omega is None or omega <= 0.0:
             raise ValueError("cos tail needs omega > 0")
-        big = max(80.0 * (alpha + 15.0) / omega, 2.0 * xi_s)
+        big = 80.0 * (alpha + 15.0) / omega
         period = 2.0 * math.pi / omega
-        split = period * np.arange(1.0, big / period)
+        split, waves = period * np.arange(1.0, big / period), [(1.0, omega)]
     else:
         raise ValueError("unknown tail mode %r" % (tail,))
 
-    inner_tol = 0.1 * tol
     lead = -sin_half_pi(alpha)      # the kernel is lead * xi^(-alpha-1)
-    mom = sum(c * kernel_moment(q, alpha, 0.0, xi_s) for q, c in orders)
-    body, qerr = integrate_adaptive(lambda x: f(x) * x ** (-alpha - 1.0),
-                                    xi_s, big, tol=inner_tol, points=split)
-    tail_val, tail_err = (osc_power_tail(omega, big, alpha + 1.0)
-                          if tail == "cos" else (0.0, 0.0))
-    err = abs(lead) * (qerr + tail_err) + rem + inner_tol
-    return mom + lead * (body + tail_val), err
+    if lead == 0.0:
+        # even alpha: only the q = alpha moment is left, the limit of
+        # lead / (q - alpha)
+        return 0.5 * math.pi * (-1) ** round(alpha / 2) * taylor[alpha], 0.0
+    val, err = finite_part(f, alpha, taylor,
+                           (abs(taylor[qmax]), qmax - alpha), tol, big,
+                           scale, waves, split)
+    return lead * val, abs(lead) * err

@@ -93,6 +93,14 @@ class TestDispersion:
                 assert limit * math.log(1.5) == pytest.approx(
                     kh ** delta * v, rel=1e-9)
 
+    def test_huge_kh_is_finite(self, capsys):
+        # the deep-level amplitude (kh/2)^(2m) overflows a double here
+        code, out, err = run(capsys, "dispersion", "--delta", "0.8",
+                             "--kh-max", "1e200", "--samples", "3")
+        assert code == 0 and err == ""
+        rows = parse_csv(out)[1]
+        assert all(math.isfinite(float(r[1])) for r in rows)
+
     def test_finite_near_delta_2m(self, capsys):
         code, out, _ = run(capsys, "dispersion", "--m", "3", "--delta",
                            "5.75", "--a", "1.541", "--tol", "1e-10")
@@ -147,6 +155,28 @@ class TestApply:
             res = fl_regularized(Gaussian(0.8), np.array([float(r[0])]), 1.3,
                                  tol=1e-7)
             assert float(r[1]) == float(np.real(res.value))
+
+    def test_oracle_needs_a_resolving_grid(self, capsys):
+        # sigma far below the grid step: the value is right, the oracle
+        # is not there, and one note says why
+        code, out, err = run(capsys, "apply", "--alpha", "1.5", "--sigma",
+                             "1e-8", "--samples", "3")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["x", "value", "oracle", "abs_diff"]
+        assert all(r[2] == "nan" and r[3] == "nan" for r in rows)
+        exact = -(1e-8 ** -1.5) * 2 ** 1.5 * constants.gamma(1.25) \
+            / math.sqrt(math.pi)
+        assert float(rows[1][1]) == pytest.approx(exact, rel=1e-9)
+        assert err.startswith("note:") and err.count("\n") == 1
+
+    def test_oracle_kept_on_the_coarsest_grid(self, capsys):
+        # sigma = 0.6 on 256 samples over 16 is far inside the guard
+        code, out, err = run(capsys, "apply", "--alpha", "1.5", "--sigma",
+                             "0.6", "--oracle-samples", "256", "--samples",
+                             "3", "--x-min", "-1", "--x-max", "1")
+        assert code == 0 and err == ""
+        assert all(float(r[3]) < 1e-5 for r in parse_csv(out)[1])
 
     def test_standard_rejects_high_alpha(self, capsys):
         code, _, err = run(capsys, "apply", "--alpha", "2.5", "--rep",

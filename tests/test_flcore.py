@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fraclap import flcore
-from fraclap.constants import DomainError
+from fraclap.constants import DomainError, v_integral_quadrature
 from fraclap.fields import Gaussian, PlaneWave, UserField
 from fraclap.flcore import (fl_eigenvalue, fl_order_m, fl_regularized,
                             fl_standard, sphere_rule)
@@ -260,6 +260,21 @@ class TestEigenvalue:
         for k in (0.5, 1.0, 2.0):
             fl_eigenvalue("regularized", 0.9, k)
         assert calls == [0.9]
+
+    def test_standard_sweep_computes_one_v(self, monkeypatch):
+        # V(m, alpha) does not depend on k either: the default four-point
+        # eig sweep computes it once
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return v_integral_quadrature(*args, **kwargs)
+
+        flcore._plane_wave_v.cache_clear()
+        monkeypatch.setattr(flcore, "v_integral_quadrature", counted)
+        for k in (0.5, 1.0, 1.5, 2.0):
+            fl_eigenvalue("standard", 1.2, k)
+        assert calls == [(1, 1.2)]
 
     def test_bad_inputs(self):
         with pytest.raises(DomainError):

@@ -120,6 +120,14 @@ class TestWmDispersion:
         p = SelfSimilarParams(delta=0.9, a=1.7, m=2)
         assert wm_dispersion(0.8, p) > 0.0
 
+    def test_huge_kh_is_finite_and_self_similar(self):
+        # the amplitude (kh/2)^(2m) of the deep levels overflows a double
+        p = SelfSimilarParams(delta=0.8, a=2.0)
+        got = wm_dispersion(1e200, p)
+        assert math.isfinite(got)
+        assert wm_dispersion(2e200, p) == pytest.approx(2.0 ** 0.8 * got,
+                                                        rel=1e-12)
+
     def test_negative_kh_rejected(self):
         p = SelfSimilarParams(delta=0.9, a=1.7)
         with pytest.raises(DomainError):
@@ -161,6 +169,12 @@ class TestSelfsimLaplacian:
         lap = selfsim_laplacian(u, x, p)
         assert lap == pytest.approx(-wm_dispersion(kh, p) * u(x), rel=1e-9)
 
+    def test_deep_levels_do_not_overflow(self):
+        # m = 2, delta = 3.9: a^(-delta*s) overflows at the deepest levels
+        p = SelfSimilarParams(delta=3.9, a=1.541, m=2)
+        assert math.isfinite(selfsim_laplacian(Gaussian(1.0),
+                                               np.array([0.3]), p))
+
     def test_gaussian_against_direct_sum(self):
         # high-precision reference: naive float summation loses the deep
         # negative levels to cancellation
@@ -179,7 +193,36 @@ class TestSelfsimLaplacian:
         assert selfsim_laplacian(u, x, p) == pytest.approx(direct, abs=1e-10)
 
 
+def mp_energy_density(x, p):
+    """(1/2) sum_s a^(-delta*s) [(D(a^s) - 1)^m exp(-x^2)]^2 for h = 1 in
+    mpmath, with the digits each difference cancels; levels below s = -300
+    (steps under 1e-50) as the geometric sum of their leading term."""
+    mp = pytest.importorskip("mpmath")
+    m, a, d = p.m, mp.mpf(p.a), mp.mpf(p.delta)
+    xx, total = mp.mpf(x), mp.mpf(0)
+    for s in range(-300, 90):
+        with mp.workdps(30 + max(0, int(-m * s * math.log10(p.a)))):
+            diff = sum((-1) ** (m - j) * math.comb(m, j)
+                       * mp.exp(-(xx + j * a ** s) ** 2) for j in range(m + 1))
+            total += a ** (-d * s) * diff ** 2
+    r = a ** (2 * m - d)
+    total += (mp.diff(lambda t: mp.exp(-t * t), xx, m) ** 2
+              * r ** -301 / (1 - 1 / r))
+    return float(total / 2)
+
+
 class TestWmEnergyDensity:
+    @pytest.mark.parametrize("d,a,m,tol", [(5.75, 1.541, 3, 1e-10),
+                                           (3.9, 1.541, 2, 1e-12)])
+    def test_small_steps_near_delta_2m(self, d, a, m, tol):
+        # near delta = 2m the deepest levels weigh a^(-delta*s) up to
+        # 1e300: their differences must come from the Taylor form, not
+        # from cancellation noise, and the weight from the log form
+        p = SelfSimilarParams(delta=d, a=a, m=m, tol=tol)
+        got = wm_energy_density(Gaussian(1.0), np.array([0.3]), p)
+        want = mp_energy_density(0.3, p)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
     def test_against_direct_sum(self):
         p = SelfSimilarParams(delta=0.9, a=1.8, m=1)
         u = Gaussian(1.0)

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraclap.constants import gamma
-from fraclap.quad import (QuadratureError, i_reg, integrate_adaptive,
-                          kernel_moment, osc_power_tail, reg_halfline,
-                          reg_kernel)
+from fraclap.quad import (QuadratureError, finite_part, i_reg,
+                          integrate_adaptive, kernel_moment, osc_power_tail,
+                          reg_halfline, reg_kernel)
 
 
 def reg_kernel_rotated(xi, alpha, eps):
@@ -153,6 +153,34 @@ class TestIReg:
             i_reg(1.0, -0.5)
 
 
+class TestFinitePart:
+    ALPHAS = [0.3, 1.7, 2.5, 3.3, 5.1]
+
+    @pytest.mark.parametrize("a", ALPHAS)
+    def test_gaussian(self, a):
+        # finite part of int_0^inf exp(-r^2) r^(-1-a) dr = Gamma(-a/2) / 2;
+        # the series of exp(-r^2) alternates, so the first term left out
+        # bounds the rest
+        taylor = {2 * k: (-1.0) ** k / math.factorial(k) for k in range(9)}
+        val, err = finite_part(lambda r: np.exp(-r * r), a, taylor,
+                               (1.0 / math.factorial(9), 18 - a), 1e-10,
+                               30.0, points=[1.0])
+        assert abs(val - 0.5 * math.gamma(-0.5 * a)) <= err
+
+    @pytest.mark.parametrize("a", ALPHAS)
+    def test_cosine(self, a):
+        # finite part of int_0^inf cos(r) r^(-1-a) dr = Gamma(-a) cos(pi a/2)
+        taylor = {2 * k: (-1.0) ** k / math.factorial(2 * k)
+                  for k in range(9)}
+        big = 80.0 * (a + 15.0)
+        val, err = finite_part(np.cos, a, taylor,
+                               (1.0 / math.factorial(18), 18 - a), 1e-10,
+                               big, waves=[(1.0, 1.0)], points=2.0 * math.pi
+                               * np.arange(1.0, big / (2.0 * math.pi)))
+        exact = math.gamma(-a) * math.cos(0.5 * math.pi * a)
+        assert abs(val - exact) <= err
+
+
 class TestRegHalfline:
     def test_cosine_moment(self):
         # int_0^inf cos(xi) Re(eps-i xi)^(-a-1) dxi -> pi / (2 Gamma(a+1))
@@ -199,6 +227,16 @@ class TestRegHalfline:
         big, small = direct(eps), direct(0.5 * eps)
         assert (big - lim) / (small - lim) == pytest.approx(2.0, abs=0.02)
         assert abs(2.0 * small - big - lim) < 1e-4
+
+    def test_even_alpha_keeps_its_moment(self):
+        # at even alpha only the q = alpha moment survives: the limit
+        # pi / (2 Gamma(alpha + 1)) of the cosine moment holds there too
+        for a in (2.0, 4.0):
+            val, _ = reg_halfline(np.cos, a,
+                                  derivs=lambda q: (-1.0) ** (q // 2),
+                                  tail="cos", omega=1.0)
+            assert val == pytest.approx(0.5 * math.pi / gamma(a + 1.0),
+                                        rel=1e-15)
 
     def test_requires_taylor_data(self):
         with pytest.raises(ValueError):
