@@ -14,8 +14,7 @@ from .oracle import GridField, dft_fl, fft, gaussian_reference
 from .potentials import (StiffnessMatrix, induced_difference_matrix,
                          potential_eigenvalue, ring_potential,
                          scaling_factor, validate_stiffness)
-from .quad import (QuadratureError, i_reg, integrate_adaptive,
-                   reg_halfline, reg_kernel)
+from .quad import QuadratureError, i_reg, integrate_adaptive, reg_halfline
 
 __version__ = "0.1.0"
 

@@ -2,11 +2,13 @@
 
 Everything here is exact analysis: the Euler gamma function (the
 standard library's math.gamma), the half-angle sine with exact zeros at
-even integers, the central difference weights, their power sums and the
-Richardson-refined even derivative built on them, the unit-sphere
-angular moment, the sine-power radial integral, and the normalization
-constants tying the lattice, singular-integral and regularized forms
-together.
+even integers, the one difference stencil (forward_weights builds the
+integer weights of (D - 1)^k, diff_weights is its centred order-2m case,
+stencil_moment their exact power sums, which every difference operator
+of the package takes its weights and small-step series from), the
+Richardson-refined even derivative, the unit-sphere angular moment, the
+sine-power radial integral, and the normalization constants tying the
+lattice, singular-integral and regularized forms together.
 """
 
 import math
@@ -54,26 +56,38 @@ def check_order(m):
         raise DomainError("m must be an integer in 1..20")
 
 
+def forward_weights(k):
+    """Stencil of the forward difference (D - 1)^k: offsets 0..k and the
+    integer-valued weights (-1)^(k-j) C(k, j)."""
+    offs = np.arange(k + 1)
+    return offs, np.array([(-1) ** (k - j) * math.comb(k, j) for j in offs],
+                          dtype=float)
+
+
 def diff_weights(m):
     """Stencil of the even-order difference -(2 - D - D^-1)^m.
 
-    Returns offsets -m..m and integer-valued weights: w_0 = -(2m)!/(m!)^2
-    and w_(+-p) = (-1)^(p+1) (2m)!/((m+p)!(m-p)!).  Applied to samples
-    u(x + p*h) this is the 2m-th order self-similar building block; times
-    (-1)^(m+1) it is the central difference of order 2m.
+    The centred order-2m case (-1)^(m+1) D^-m (D - 1)^(2m) of
+    forward_weights: offsets -m..m, w_0 = -(2m)!/(m!)^2 and w_(+-p) =
+    (-1)^(p+1) (2m)!/((m+p)!(m-p)!).  Applied to samples u(x + p*h) this
+    is the 2m-th order self-similar building block; times (-1)^(m+1) it
+    is the central difference of order 2m.
     """
     check_order(m)
-    offs = list(range(-m, m + 1))
-    fact = math.factorial(2 * m)
-    w = []
-    for p in offs:
-        q = abs(p)
-        if q == 0:
-            w.append(-fact // (math.factorial(m) ** 2))
-        else:
-            w.append((-1) ** (q + 1) * fact
-                     // (math.factorial(m + q) * math.factorial(m - q)))
-    return np.array(offs), np.array(w, dtype=float)
+    offs, w = forward_weights(2 * m)
+    return offs - m, (-1) ** (m + 1) * w
+
+
+def stencil_moment(offs, w, q):
+    """M_q = sum_p w_p p^q of a stencil.
+
+    Integer q sums in Python integers, so the moments below the stencil's
+    order are exact zeros and the others exact; a fractional power q
+    sums w_p |p|^q in floating point, in offset order.
+    """
+    if q == int(q):
+        return sum(int(wp) * int(p) ** int(q) for p, wp in zip(offs, w))
+    return sum(float(wp) * abs(float(p)) ** q for p, wp in zip(offs, w))
 
 
 def even_deriv(sample, q, h):
@@ -95,23 +109,17 @@ def even_deriv(sample, q, h):
 def central_diff_power(m, alpha):
     """(D(1) - D(-1))^(2m) applied to |lam|^alpha at lam = 0.
 
-    Closed form 2^(1+alpha) (-1)^m sum_p (2m)!/((m+p)!(m-p)!) (-1)^p
-    p^alpha.  For even integer alpha the sum is done in exact integer
-    arithmetic, so the interior zeros (alpha/2 < m) come out exactly 0.
+    Closed form 2^alpha (-1)^(m+1) sum_p w_p |p|^alpha over the
+    diff_weights stencil, summed as twice its p > 0 half (p = 0 adds
+    nothing).  Integer alpha sums in exact integer arithmetic, so the
+    interior zeros (even alpha < 2m) come out exactly 0.
     """
-    check_order(m)
+    offs, w = diff_weights(m)
     if alpha < 0.0:
         raise DomainError("alpha must be >= 0")
-    fact = math.factorial(2 * m)
-    half = alpha / 2.0
-    if alpha == math.floor(alpha) and half == math.floor(half):
-        a = int(alpha)
-        s = sum(fact // (math.factorial(m + p) * math.factorial(m - p))
-                * (-1) ** p * p ** a for p in range(1, m + 1))
-        return float(2 ** (1 + a) * (-1) ** m * s)
-    s = sum(fact / (math.factorial(m + p) * math.factorial(m - p))
-            * (-1) ** p * p ** alpha for p in range(1, m + 1))
-    return 2.0 ** (1.0 + alpha) * (-1) ** m * s
+    half = stencil_moment(offs[offs > 0], w[offs > 0], alpha)
+    # the sign goes on the sum, so that an exact zero stays +0.0
+    return 2.0 ** (1.0 + alpha) * ((-1) ** (m + 1) * half)
 
 
 def unit_sphere_moment(n, alpha):
@@ -138,20 +146,18 @@ def v_integral_quadrature(m, alpha, tol=1e-12):
     term by term in closed form.
     """
     _check_mv(m, alpha)
-    # sin^(2m) x = sum of c cos(omega x) over these (c, omega)
-    waves = [((2.0 if j else 1.0) * (-1) ** j * math.comb(2 * m, m - j)
-              / 4.0 ** m, 2.0 * j) for j in range(m + 1)]
-    # sin^(2m) x = x^(2m) (sin x / x)^(2m), a power of a series in x^2 that
-    # does not cancel; each cos(omega x) leaves out at most (omega x)^q / q!
-    sinc = [(-1.0) ** k / math.factorial(2 * k + 1) for k in range(20)]
-    series = [1.0]
-    for _ in range(2 * m):
-        series = np.convolve(series, sinc)[:20]
+    offs, w = diff_weights(m)
+    # sin^(2m) x is the sum of -w_p cos(2 p x) / 4^m, so its coefficient
+    # of x^q is (-1)^(q/2+1) 2^q M_q / (4^m q!), exact down to one rounding
+    waves = [(-wp / 4.0 ** m, 2.0 * abs(p)) for p, wp in zip(offs, w)]
+    taylor = {q: (-1) ** (q // 2 + 1) * 2 ** q * stencil_moment(offs, w, q)
+              / (4 ** m * math.factorial(q))
+              for q in range(2 * m, 2 * m + 40, 2)}
+    # each cos(omega x) leaves out at most (omega x)^q / q!
     q = 2 * m + 40
-    rem = (sum(abs(c) * w ** q for c, w in waves) / math.factorial(q),
+    rem = (sum(abs(c) * om ** q for c, om in waves) / math.factorial(q),
            q - alpha)
-    val, _ = finite_part(lambda x: np.sin(x) ** (2 * m), alpha,
-                         {2 * (m + k): g for k, g in enumerate(series)}, rem,
+    val, _ = finite_part(lambda x: np.sin(x) ** (2 * m), alpha, taylor, rem,
                          tol, 60.0 * math.pi, 1.0, waves, [1.0])
     return 2.0 ** (2 * m - alpha) * val
 

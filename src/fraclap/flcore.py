@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import (DomainError, c_standard_levy, diff_weights, gamma,
-                        norm_constants, unit_sphere_moment,
+                        norm_constants, stencil_moment, unit_sphere_moment,
                         v_integral_quadrature)
 from .fields import PlaneWave
 from .quad import finite_part, reg_halfline
@@ -69,11 +69,6 @@ def _field_scale(u):
     return getattr(u, "sigma", 1.0)
 
 
-def _stencil_moments(offs, w, qmax):
-    return {q: float(np.sum(w * offs.astype(float) ** q))
-            for q in range(0, qmax + 1, 2)}
-
-
 def _taylor_order(u):
     """Highest even order of the small-radius Taylor series: 14, or fewer
     when the field's line_deriv supplies fewer."""
@@ -95,7 +90,7 @@ def _radial_singular(u, x, alpha, m, qmax, tol, dirs, wts):
     tiny = tol * 1e-2
     big = u.decay_radius(x, tiny)
 
-    moments = _stencil_moments(offs, w, qmax + 2)
+    moments = {q: stencil_moment(offs, w, q) for q in range(0, qmax + 3, 2)}
     # series coefficients from order 2m up; the order-0 sum feeds the tail
     qs = [q for q in range(2 * m, qmax + 1, 2) if moments[q] != 0.0]
     derivs = _angular_derivs(u, x, dirs, wts, [0] + qs)
@@ -118,19 +113,21 @@ def _radial_singular(u, x, alpha, m, qmax, tol, dirs, wts):
 
 
 def _angular_loop(compute, n, tol):
-    """Evaluate compute(dirs, wts) on refining sphere rules until stable."""
+    """Evaluate compute(dirs, wts) -> (value, radial error) on refining
+    sphere rules until stable.  Returns the last value, its change from
+    the rule before, and the radial error of that value."""
     if n == 1:
-        dirs, wts = sphere_rule(1)
-        return compute(dirs, wts), 0.0
+        val, err = compute(*sphere_rule(1))
+        return val, 0.0, err
     prev = None
     for level in range(5):
-        dirs, wts = sphere_rule(n, level)
-        val = compute(dirs, wts)
-        if prev is not None and abs(val - prev) < 0.5 * tol:
-            return val, abs(val - prev)
+        val, err = compute(*sphere_rule(n, level))
+        change = math.inf if prev is None else abs(val - prev)
+        if change < 0.5 * tol:
+            return val, change, err
         prev = val
     warnings.warn("angular quadrature did not stabilize; returning anyway")
-    return prev, abs(val - prev)
+    return val, change, err
 
 
 def _difference_form(u, x, alpha, m, coef, label, tol):
@@ -148,10 +145,11 @@ def _difference_form(u, x, alpha, m, coef, label, tol):
     rtol = tol / max(abs(coef), 1e-3)
 
     def compute(dirs, wts):
-        return _radial_singular(u, x, alpha, m, qmax, rtol, dirs, wts)[0]
+        return _radial_singular(u, x, alpha, m, qmax, rtol, dirs, wts)
 
-    val, aerr = _angular_loop(compute, n, rtol)
-    return FLResult(coef * val, abs(coef) * (aerr + rtol), label, alpha, n, m)
+    val, aerr, rerr = _angular_loop(compute, n, rtol)
+    return FLResult(coef * val, abs(coef) * (aerr + rtol + rerr), label,
+                    alpha, n, m)
 
 
 def fl_standard(u, x, alpha, tol=1e-9):
@@ -214,22 +212,17 @@ def fl_regularized(u, x, alpha, tol=1e-10):
         raise DomainError("field cannot supply enough derivative data "
                           "for alpha = %g" % alpha)
 
-    qerr = []
-
     def compute(dirs, wts):
         derivs = _angular_derivs(u, x, dirs, wts, range(0, qmax + 1, 2))
 
         def profile(r):
             return np.real(u.on_ray(x, dirs, r)) @ wts
 
-        val, err = reg_halfline(profile, alpha, derivs, tol=tol,
-                                tail="decay", scale=scale, cutoff=big)
-        qerr.append(err)
-        return val
+        return reg_halfline(profile, alpha, derivs, tol=tol, tail="decay",
+                            scale=scale, cutoff=big)
 
-    val, aerr = _angular_loop(compute, n, tol / max(abs(coef), 1e-3))
-    # the value is the last rule's, so its radial quadrature estimate counts
-    return FLResult(coef * val, abs(coef) * (aerr + qerr[-1] + tol),
+    val, aerr, rerr = _angular_loop(compute, n, tol / max(abs(coef), 1e-3))
+    return FLResult(coef * val, abs(coef) * (aerr + tol + rerr),
                     "regularized", alpha, n, None)
 
 

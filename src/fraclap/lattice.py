@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DomainError, check_order, diff_weights, v_integral
+from .constants import (DomainError, check_order, diff_weights,
+                        forward_weights, stencil_moment, v_integral)
 from .quad import integrate_adaptive
 
 # the most levels one sum may take; the count grows like 1/ln a as a -> 1
@@ -127,33 +128,60 @@ def wm_dispersion(kh, p):
     return float(4.0 ** m * np.sum(terms))
 
 
-def selfsim_laplacian(u, x, p):
-    """sum_s a^(-delta*s) Delta_2m(h a^s) u(x) for a decaying field u."""
-    m, d = p.m, p.delta
-    offs, w = diff_weights(m)
-    u0 = u(np.atleast_1d(np.asarray(x, dtype=float)))
-    sup_u = max(abs(u0), 1.0)
-    sup_d = u.sup_line_deriv(2 * m)
-    s_pos, s_neg = _level_range(p, math.log(4.0 ** m * sup_u),
-                                2 * m * math.log(p.h) + math.log(sup_d),
-                                2.0 * m - d)
-    total = 0.0 + 0.0j
-    direction = np.ones(1)
-    sign = (-1.0) ** (m + 1)
+def _small_step_series(u, x, offs, w, k):
+    """Coefficients c of the small-step series sum_p w_p u(x + p*z) =
+    z^k sum_i c_i z^i of a stencil of order k along the line through x.
+
+    c_i = M_(k+i) u^(k+i)(x) / (k+i)! over the nonzero exact moments M_q
+    of orders k..k+13, capped at the field's max_line_deriv as in
+    flcore._taylor_order; one term is no series, so a field that supplies
+    fewer than two raises from its line_deriv.
+    """
+    moments = {q: stencil_moment(offs, w, q) for q in range(k, k + 14)}
+    qs = [q for q, mq in moments.items() if mq]
+    qs = qs[:max(2, sum(q <= u.max_line_deriv for q in qs))]
+    c = np.zeros(qs[-1] - k + 1, dtype=complex)
+    for q in qs:
+        c[q - k] = (moments[q] / math.factorial(q)
+                    * complex(u.line_deriv(x, np.ones(1), q)))
+    return c
+
+
+def _level_sum(u, x, p, offs, w, square):
+    """sum_s a^(-delta*s) d_s, with d_s the stencil (offs, w) applied to u
+    at x with step h a^s, or the square of its real part.
+
+    Where step^k sup|u^(k)| < 1e-5 |u(x)|, k the stencil's order, the
+    direct difference is dominated by cancellation noise; there it is the
+    small-step series over step^k, and the level weight a^(-delta*s)
+    times the step^k of each factor is h^(2m) a^((2m-delta)s), 2m the
+    order of the product, which does not overflow.
+    """
+    k = next(q for q in range(len(offs)) if stencil_moment(offs, w, q))
+    power = 2 if square else 1
+    sup_u = max(abs(u(np.atleast_1d(np.asarray(x, dtype=float)))), 1.0)
+    sup_d = u.sup_line_deriv(k)
+    s_pos, s_neg = _level_range(
+        p, power * math.log(np.sum(np.abs(w)) * sup_u),
+        power * (k * math.log(p.h) + math.log(sup_d)), k * power - p.delta)
+    total, series = 0.0, None
     for s in range(-s_neg, s_pos + 1):
         step = p.h * p.a ** s
-        if step ** (2 * m) * sup_d < 1e-5 * sup_u:
-            # the direct difference is dominated by cancellation noise
-            # here; (4 sinh^2(z/2))^m = z^2m (1 + m z^2/12 + ...) gives
-            # the same value in Taylor form without it, and the level
-            # weight a^(-delta*s) step^2m is h^2m a^((2m-delta)s)
-            total += sign * p.h ** (2 * m) * p.a ** ((2 * m - d) * s) * (
-                complex(u.line_deriv(x, direction, 2 * m))
-                + (m / 12.0) * step ** 2
-                * complex(u.line_deriv(x, direction, 2 * m + 2)))
+        if step ** k * sup_d < 1e-5 * sup_u:
+            if series is None:
+                series = _small_step_series(u, x, offs, w, k)
+            diff = complex(np.polyval(series[::-1], step))
+            weight = p.h ** (k * power) * p.a ** ((k * power - p.delta) * s)
         else:
-            vals = u.on_ray(x, direction, offs.astype(float) * step)
-            total += p.a ** (-d * s) * complex(w @ vals)
+            diff = complex(w @ u.on_ray(x, np.ones(1), offs * step))
+            weight = p.a ** (-p.delta * s)
+        total += weight * diff.real * diff.real if square else weight * diff
+    return total
+
+
+def selfsim_laplacian(u, x, p):
+    """sum_s a^(-delta*s) Delta_2m(h a^s) u(x) for a decaying field u."""
+    total = complex(_level_sum(u, x, p, *diff_weights(p.m), False))
     if abs(total.imag) <= 1e-13 * max(abs(total.real), 1.0):
         return total.real
     return total
@@ -163,40 +191,8 @@ def wm_energy_density(u, x, p, f_m=1.0):
     """(f_m/2) sum_s a^(-delta*s) [(D(h a^s) - 1)^m u(x)]^2.
 
     Scales as a^delta under h -> a*h; admissible for 0 < delta < 2m.
-    Small steps take the difference in Taylor form, from the line
-    derivatives of orders m to m + 13.
     """
-    m, d = p.m, p.delta
-    c = np.array([(-1.0) ** (m - j) * math.comb(m, j)
-                  for j in range(m + 1)])
-    offs = np.arange(m + 1, dtype=float)
-    sup_u = 1.0 if u.wavenumber is not None else max(
-        abs(float(np.real(u(np.atleast_1d(np.asarray(x, dtype=float)))))), 1.0)
-    sup_d = u.sup_line_deriv(m)
-    s_pos, s_neg = _level_range(p, 2.0 * math.log(2.0 ** m * sup_u),
-                                2.0 * (m * math.log(p.h) + math.log(sup_d)),
-                                2.0 * m - d)
-    # (e^z - 1)^m = z^m sum_k b_k z^k: 14 terms of the power of (e^z - 1)/z
-    b, derivs = np.ones(1), None
-    for _ in range(m):
-        b = np.convolve(b, [1 / math.factorial(k) for k in range(1, 15)])[:14]
-    total = 0.0
-    direction = np.ones(1)
-    for s in range(-s_neg, s_pos + 1):
-        step = p.h * p.a ** s
-        if step ** m * sup_d < 1e-5 * sup_u:
-            # Taylor form where the direct difference is cancellation noise,
-            # as in selfsim_laplacian
-            if derivs is None:
-                derivs = np.array([u.line_deriv(x, direction, m + k)
-                                   for k in range(14)])
-            diff = float(np.real(np.polyval((b * derivs)[::-1], step)))
-            total += p.h ** (2 * m) * p.a ** ((2 * m - d) * s) * diff * diff
-        else:
-            vals = u.on_ray(x, direction, offs * step)
-            diff = float(np.real(c @ vals))
-            total += p.a ** (-d * s) * diff * diff
-    return 0.5 * f_m * total
+    return 0.5 * f_m * _level_sum(u, x, p, *forward_weights(p.m), True)
 
 
 def selfsim_series(f, delta, a, h=1.0, tol=1e-12):

@@ -8,12 +8,11 @@ and on plane waves the induced operator has eigenvalue
 potential is admissible at that alpha.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import DomainError, c_standard
+from .constants import DomainError, c_standard, forward_weights
 
 
 class StiffnessMatrix:
@@ -139,13 +138,14 @@ def potential_eigenvalue(v, alpha, k, n=1, validate=True):
 def induced_difference_matrix(m):
     """Rank-one potential from expanding the order-m difference energy.
 
-    [(D-1)^m u]^2 = sum_pq c_p c_q u_p u_q with c_j = (-1)^(m-j) C(m, j);
+    [(D-1)^m u]^2 = sum_pq c_p c_q u_p u_q with c the forward stencil
+    (-1)^(m-j) C(m, j) of constants.forward_weights;
     zero-sum and PSD, but its kernel has dimension m, so it passes only
     the relaxed (validate=False) eigenvalue route for m > 1.
     """
     if not isinstance(m, int) or m < 1:
         raise DomainError("m must be a positive integer")
-    c = np.array([(-1.0) ** (m - j) * math.comb(m, j) for j in range(m + 1)])
+    c = forward_weights(m)[1]
     return np.outer(c, c)
 
 

@@ -101,16 +101,6 @@ def integrate_adaptive(f, lo, hi, tol=1e-10, limit=20000, points=()):
         panels.append((err, m, b, ik))
 
 
-def reg_kernel(xi, alpha, eps):
-    """Re (eps - i*xi)^(-alpha-1), the regularized power kernel."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    xi = np.asarray(xi, dtype=float)
-    rho = np.hypot(eps, xi)
-    theta = np.arctan2(-xi, eps)
-    return rho ** (-alpha - 1.0) * np.cos((alpha + 1.0) * theta)
-
-
 # Re(i^p z) for p mod 4 = 0,1,2,3 without going through complex pow,
 # so that the purely real lower-boundary terms drop *exactly*.
 def _re_rot(p, z):
@@ -134,14 +124,15 @@ def kernel_moment(q, alpha, eps, cut):
     even when eps^(-alpha) would overflow the naive route.  eps = 0 gives
     the tempered limit directly.
     """
+    from .constants import forward_weights
     if q % 2:
         raise ValueError("only even moments are defined for even profiles")
     if eps < 0.0 or cut <= 0.0:
         raise ValueError("need eps >= 0 and cut > 0")
     w1 = complex(eps, -cut)
     acc = 0j
-    for j in range(q + 1):
-        c = math.comb(q, j) * (-eps) ** (q - j)
+    for j, b in enumerate(forward_weights(q)[1].tolist()):
+        c = b * eps ** (q - j)
         if c == 0.0:
             continue
         e = j - alpha

@@ -12,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from fraclap.constants import (DomainError, a_delta, c_standard,
                                c_standard_levy, central_diff_power,
-                               diff_weights, gamma, norm_constants,
-                               sin_half_pi, unit_sphere_moment, v_integral,
+                               diff_weights, forward_weights, gamma,
+                               norm_constants, sin_half_pi, stencil_moment,
+                               unit_sphere_moment, v_integral,
                                v_integral_quadrature)
-from fraclap.lattice import SelfSimilarParams
+from fraclap.fields import Gaussian
+from fraclap.lattice import SelfSimilarParams, _small_step_series
 from fraclap.quad import integrate_adaptive
 
 
@@ -99,6 +101,37 @@ class TestDiffWeights:
         f = lambda t: np.asarray(t, dtype=float) ** 2
         val = apply_diff(f, 0.3, 0.1, 1)
         assert val == pytest.approx(2.0 * 0.01, rel=1e-9)
+
+
+# (stencil, order): central order-2m differences and forward (D - 1)^k
+STENCILS = ([pytest.param(diff_weights(m), 2 * m, id="central%d" % m)
+             for m in (1, 2, 3, 4, 5, 6, 20)]
+            + [pytest.param(forward_weights(k), k, id="forward%d" % k)
+               for k in range(1, 7)])
+
+
+class TestStencil:
+    @pytest.mark.parametrize("stencil,order", STENCILS)
+    def test_exact_moments(self, stencil, order):
+        moments = [stencil_moment(*stencil, q) for q in range(order + 1)]
+        assert all(type(mq) is int for mq in moments)
+        assert moments[:-1] == [0] * order
+        assert abs(moments[-1]) == math.factorial(order)
+
+    @pytest.mark.parametrize("stencil,order", STENCILS)
+    def test_small_step_series_is_the_difference(self, stencil, order):
+        # at step 0.01 the terms left out are below 1e-13 of the value
+        # even at m = 20; the direct difference cancels 2 digits per
+        # order and up to 12 more for the weights, which mpmath carries
+        mp = pytest.importorskip("mpmath")
+        offs, w = stencil
+        x, z = 0.3, 0.01
+        c = _small_step_series(Gaussian(1.0), np.array([x]), offs, w, order)
+        got = z ** order * np.polyval(c[::-1], z).real
+        with mp.workdps(40 + 2 * order + 12):
+            want = mp.fsum(int(wp) * mp.exp(-(mp.mpf(x) + int(p) * mp.mpf(z))
+                                            ** 2) for p, wp in zip(offs, w))
+        assert abs(got - float(want)) <= 1e-12 * abs(want)
 
 
 class TestOrderCheck:

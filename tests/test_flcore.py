@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fraclap import flcore
-from fraclap.constants import DomainError, v_integral_quadrature
+from fraclap.constants import (DomainError, norm_constants,
+                               v_integral_quadrature)
 from fraclap.fields import Gaussian, PlaneWave, UserField
 from fraclap.flcore import (fl_eigenvalue, fl_order_m, fl_regularized,
                             fl_standard, sphere_rule)
@@ -104,6 +105,18 @@ class TestOrderM:
         u = Gaussian(1.0)
         res = fl_order_m(u, np.array([0.4]), 3.4, 2)
         assert res.value == pytest.approx(GAUSS_1D[(0.4, 3.4)], abs=5e-9)
+
+    def test_error_carries_the_radial_error(self):
+        # at small alpha the decay-radius term of the radial error grows
+        # like 1/alpha and exceeds the radial tolerance it was asked for
+        u, x, alpha, m, tol = Gaussian(1.0), np.array([0.3]), 0.18, 2, 1e-9
+        coef = abs(norm_constants(m, 1, alpha).c_general)
+        rtol = tol / max(coef, 1e-3)
+        _, rerr = flcore._radial_singular(u, x, alpha, m,
+                                          flcore._taylor_order(u), rtol,
+                                          *flcore.sphere_rule(1))
+        assert rerr > rtol
+        assert fl_order_m(u, x, alpha, m, tol=tol).error >= coef * rerr
 
     def test_order_window(self):
         u = Gaussian(1.0)

@@ -152,7 +152,38 @@ class TestReducedPhases:
                     Fraction(kh) / 2, Fraction(a), s)
 
 
+def mp_selfsim_laplacian(x, p):
+    """sum_s a^(-delta*s) sum_p (-1)^(p+1) C(2m, m+p) exp(-(x + p a^s)^2)
+    for h = 1 in mpmath, with the digits each difference cancels; levels
+    below s = -300 as the geometric sum of their leading term
+    (-1)^(m+1) u^(2m)(x) a^(2m*s)."""
+    mp = pytest.importorskip("mpmath")
+    m, a, d = p.m, mp.mpf(p.a), mp.mpf(p.delta)
+    xx, total = mp.mpf(x), mp.mpf(0)
+    for s in range(-300, 90):
+        with mp.workdps(30 + max(0, int(-2 * m * s * math.log10(p.a)))):
+            diff = sum((-1) ** (j + 1) * math.comb(2 * m, m + j)
+                       * mp.exp(-(xx + j * a ** s) ** 2)
+                       for j in range(-m, m + 1))
+            total += a ** (-d * s) * diff
+    r = a ** (2 * m - d)
+    total += ((-1) ** (m + 1) * mp.diff(lambda t: mp.exp(-t * t), xx, 2 * m)
+              * r ** -301 / (1 - 1 / r))
+    return float(total)
+
+
 class TestSelfsimLaplacian:
+    @pytest.mark.parametrize("d,a,m,tol", [(5.75, 1.541, 3, 1e-10),
+                                           (3.9, 1.541, 2, 1e-12)])
+    def test_small_steps_near_delta_2m(self, d, a, m, tol):
+        # near delta = 2m the deepest levels carry the sum and their
+        # differences come from the small-step series, so a series cut
+        # too short (two terms gave 5e-4 here at m = 3) shows
+        p = SelfSimilarParams(delta=d, a=a, m=m, tol=tol)
+        got = selfsim_laplacian(Gaussian(1.0), np.array([0.3]), p)
+        want = mp_selfsim_laplacian(0.3, p)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
     def test_plane_wave_eigenvalue(self):
         p = SelfSimilarParams(delta=0.6, a=1.9, m=1)
         kh = 0.7

@@ -13,7 +13,17 @@ from hypothesis import given, settings, strategies as st
 from fraclap.constants import gamma
 from fraclap.quad import (QuadratureError, finite_part, i_reg,
                           integrate_adaptive, kernel_moment, osc_power_tail,
-                          reg_halfline, reg_kernel)
+                          reg_halfline)
+
+
+def reg_kernel(xi, alpha, eps):
+    """Re (eps - i*xi)^(-alpha-1), the regularized power kernel."""
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    xi = np.asarray(xi, dtype=float)
+    rho = np.hypot(eps, xi)
+    theta = np.arctan2(-xi, eps)
+    return rho ** (-alpha - 1.0) * np.cos((alpha + 1.0) * theta)
 
 
 def reg_kernel_rotated(xi, alpha, eps):
