@@ -82,12 +82,19 @@ def stencil_moment(offs, w, q):
     """M_q = sum_p w_p p^q of a stencil.
 
     Integer q sums in Python integers, so the moments below the stencil's
-    order are exact zeros and the others exact; a fractional power q
-    sums w_p |p|^q in floating point, in offset order.
+    order are exact zeros and the others exact.  A fractional power q
+    sums w_p |p|^q over p != 0 relative to the exact integer moment at
+    the nearest even order 2j, as that moment plus the sum of
+    w_p |p|^2j expm1((q - 2j) ln|p|): where that moment is 0 nothing
+    cancels, so the sum keeps its digits however close q is to 2j.
     """
     if q == int(q):
         return sum(int(wp) * int(p) ** int(q) for p, wp in zip(offs, w))
-    return sum(float(wp) * abs(float(p)) ** q for p, wp in zip(offs, w))
+    j2 = 2 * round(q / 2)
+    terms = [int(wp) * abs(int(p)) ** j2 for p, wp in zip(offs, w) if p]
+    logs = [math.log(abs(int(p))) for p in offs if p]
+    return sum(terms) + sum(float(t) * math.expm1((q - j2) * lg)
+                            for t, lg in zip(terms, logs))
 
 
 def even_deriv(sample, q, h):
@@ -166,13 +173,18 @@ def v_integral(m, alpha):
     """Radial normalization V(m, alpha) for 0 < alpha < 2m.
 
     Closed form pi (-1)^(m+1) central_diff_power / (2^(alpha+1)
-    Gamma(alpha+1) sin(pi alpha/2)) for fractional alpha/2; even integer
-    alpha (where the closed form is 0/0) falls back to quadrature.
+    Gamma(alpha+1) sin(pi alpha/2)) for fractional alpha/2.  At even
+    alpha = 2j the closed form is 0/0, and its limit is
+    2 (-1)^j sum_(p>1) w_p p^(2j) ln p / Gamma(alpha+1).
     """
     _check_mv(m, alpha)
     s = sin_half_pi(alpha)
     if s == 0.0:
-        return v_integral_quadrature(m, alpha)
+        j = round(alpha / 2)
+        offs, w = diff_weights(m)
+        dsum = sum(float(int(wp) * int(p) ** (2 * j)) * math.log(p)
+                   for p, wp in zip(offs, w) if p > 1)
+        return 2.0 * (-1) ** j * dsum / gamma(alpha + 1.0)
     return ((-1) ** (m + 1) * math.pi * central_diff_power(m, alpha)
             / (2.0 ** (alpha + 1.0) * gamma(alpha + 1.0) * s))
 

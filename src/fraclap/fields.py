@@ -7,6 +7,7 @@ estimates), and a decay radius.  Plane waves additionally expose their
 wavenumber so the operators can take the analytic angular reduction.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ def hermite_poly(q, t):
     return h1
 
 
+@functools.lru_cache(maxsize=None)
 def _hermite_gauss_sup(q, samples=20001):
     # sup over R of |H_q(t) exp(-t^2)|; the max sits below sqrt(2q)+2
     t = np.linspace(0.0, math.sqrt(2.0 * q + 1.0) + 3.0, samples)
@@ -115,7 +117,6 @@ class Gaussian(Field):
             c = np.full(n, float(c[0]))
         self.center = c
         self.n = c.size
-        self._sup_cache = {}
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -132,10 +133,7 @@ class Gaussian(Field):
                 * math.exp(-float(w @ w) / self.sigma ** 2))
 
     def sup_line_deriv(self, order):
-        if order not in self._sup_cache:
-            self._sup_cache[order] = (_hermite_gauss_sup(order)
-                                      / self.sigma ** order)
-        return self._sup_cache[order]
+        return _hermite_gauss_sup(order) / self.sigma ** order
 
     def laplacian_power(self, x, p):
         # product of 1-d Gaussians: expand (sum_i d^2/dy_i^2)^p by the

@@ -8,8 +8,9 @@ Three interchangeable routes to -(-Delta)^(alpha/2):
   * fl_regularized - the eps-regularized form, valid for every alpha >= 0
     and collapsing to (-1)^(p+1) Delta^p at alpha = 2p.
 
-All of them integrate the angular average first and the radial variable
-second.  Plane waves take the analytic angular reduction through the
+All of them run through one driver (_operator), which integrates the
+angular average first and the radial variable second under one tolerance
+rule.  Plane waves take the analytic angular reduction through the
 unit-sphere moment; the radial factor is still computed by genuine
 quadrature, so cross-checks against -|k|^alpha stay meaningful.
 """
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import (DomainError, c_standard_levy, diff_weights, gamma,
-                        norm_constants, stencil_moment, unit_sphere_moment,
-                        v_integral_quadrature)
+                        norm_constants, sin_half_pi, stencil_moment,
+                        unit_sphere_moment, v_integral_quadrature)
 from .fields import PlaneWave
 from .quad import finite_part, reg_halfline
 
@@ -63,28 +64,17 @@ def sphere_rule(n, level=0):
     raise DomainError("n must be 1, 2 or 3")
 
 
-def _field_scale(u):
-    if getattr(u, "wavenumber", None):
-        return 1.0 / u.wavenumber
-    return getattr(u, "sigma", 1.0)
-
-
 def _taylor_order(u):
     """Highest even order of the small-radius Taylor series: 14, or fewer
     when the field's line_deriv supplies fewer."""
     return min(14, u.max_line_deriv)
 
 
-def _angular_derivs(u, x, dirs, wts, qs):
-    """Sphere-rule sums of the order-q line derivatives of u at x, one per
-    q in qs."""
-    return {q: float(np.real(u.line_deriv(x, dirs, q)) @ wts) for q in qs}
-
-
 def _radial_singular(u, x, alpha, m, qmax, tol, dirs, wts):
     """integral over directions and radii of Delta_2m(r nhat) u(x)
-    r^(-1-alpha), for a decaying field.  Returns (value, err)."""
-    offs, w = diff_weights(m)
+    r^(-1-alpha), for a decaying field; m = 0 takes u(x + r nhat) itself,
+    the profile of the regularized form.  Returns (value, err)."""
+    offs, w = diff_weights(m) if m else (np.array([1]), np.array([1.0]))
     omega_tot = float(np.sum(wts))
 
     tiny = tol * 1e-2
@@ -93,7 +83,9 @@ def _radial_singular(u, x, alpha, m, qmax, tol, dirs, wts):
     moments = {q: stencil_moment(offs, w, q) for q in range(0, qmax + 3, 2)}
     # series coefficients from order 2m up; the order-0 sum feeds the tail
     qs = [q for q in range(2 * m, qmax + 1, 2) if moments[q] != 0.0]
-    derivs = _angular_derivs(u, x, dirs, wts, [0] + qs)
+    # sphere-rule sums of the line derivatives
+    derivs = {q: float(np.real(u.line_deriv(x, dirs, q)) @ wts)
+              for q in dict.fromkeys([0] + qs)}
     taylor = {q: moments[q] * derivs[q] / math.factorial(q) for q in qs}
     # the first order left out, bounded through the sup of its derivative
     q = qmax + 2
@@ -105,9 +97,9 @@ def _radial_singular(u, x, alpha, m, qmax, tol, dirs, wts):
         return w @ [np.real(u.on_ray(x, dirs, p * r)) @ wts for p in offs]
 
     # beyond the decay radius only the central weight survives
-    w0 = float(w[offs == 0][0])
+    w0 = float(np.sum(w[offs == 0]))
     val, err = finite_part(profile, alpha, taylor, rem, tol, big,
-                           min(_field_scale(u), 1.0),
+                           min(getattr(u, "sigma", 1.0), 1.0),
                            [(w0 * derivs[0], 0.0)], [1.0])
     return val, err + omega_tot * 4.0 ** m * tiny * big ** (-alpha) / alpha
 
@@ -130,26 +122,32 @@ def _angular_loop(compute, n, tol):
     return val, change, err
 
 
-def _difference_form(u, x, alpha, m, coef, label, tol):
-    """coef times the order-2m difference integral of u at x: the analytic
-    angular reduction for plane waves, else the angular loop over the
-    radial singular integral."""
+def _operator(u, x, alpha, coef, label, tol, radial, wave, m=None):
+    """coef times a radial integral of u at x, the one path of all three
+    forms.  A plane wave takes the analytic angular reduction: coef U(n,
+    alpha) k^alpha u(x) times the k-independent factor wave() -> (F,
+    error).  Any other field runs the angular loop over radial(dirs, wts,
+    rtol) -> (value, error), where rtol = tol / max(|coef|, 1e-3) serves
+    the radial integral, its decay radius and the loop alike."""
     n = u.n
     if isinstance(u, PlaneWave):
-        eig = (coef * unit_sphere_moment(n, alpha)
-               * (-(u.wavenumber ** alpha) * _plane_wave_v(m, alpha, tol)))
+        amp = coef * unit_sphere_moment(n, alpha) * u.wavenumber ** alpha
+        f, ferr = wave()
         u0 = u(np.atleast_1d(np.asarray(x, dtype=float)))
-        return FLResult(eig * u0, abs(eig) * 1e-11, label, alpha, n, m)
-
-    qmax = _taylor_order(u)
+        return FLResult(amp * f * u0, abs(amp) * ferr, label, alpha, n, m)
     rtol = tol / max(abs(coef), 1e-3)
-
-    def compute(dirs, wts):
-        return _radial_singular(u, x, alpha, m, qmax, rtol, dirs, wts)
-
-    val, aerr, rerr = _angular_loop(compute, n, rtol)
+    val, aerr, rerr = _angular_loop(lambda d, w: radial(d, w, rtol), n, rtol)
     return FLResult(coef * val, abs(coef) * (aerr + rtol + rerr), label,
                     alpha, n, m)
+
+
+def _difference(u, x, alpha, m, coef, label, tol):
+    """The order-2m difference integral through _operator."""
+    def radial(dirs, wts, rtol):
+        return _radial_singular(u, x, alpha, m, _taylor_order(u), rtol,
+                                dirs, wts)
+    return _operator(u, x, alpha, coef, label, tol, radial,
+                     functools.partial(_plane_wave_v, m, alpha, tol), m)
 
 
 def fl_standard(u, x, alpha, tol=1e-9):
@@ -159,13 +157,13 @@ def fl_standard(u, x, alpha, tol=1e-9):
             "standard form needs 0 < alpha < 2: the kernel moment "
             "r^(2-alpha) diverges outside the Levy range")
     coef = 0.5 * c_standard_levy(u.n, alpha)
-    return _difference_form(u, x, alpha, 1, coef, "standard", tol)
+    return _difference(u, x, alpha, 1, coef, "standard", tol)
 
 
 def fl_order_m(u, x, alpha, m, tol=1e-9):
     """Order-2m difference-kernel form, 0 < alpha < 2m."""
     coef = norm_constants(m, u.n, alpha).c_general   # validates 0 < alpha < 2m
-    return _difference_form(u, x, alpha, m, coef, "order_m", tol)
+    return _difference(u, x, alpha, m, coef, "order_m", tol)
 
 
 def _integer_branch(u, x, alpha):
@@ -178,59 +176,43 @@ def fl_regularized(u, x, alpha, tol=1e-10):
 
     Even integer alpha dispatches to the analytic branch
     (-1)^(p+1) Delta^p u; fractional alpha takes the eps -> 0+ limit of
-    the radial integral in closed form (quad.reg_halfline).
+    the radial integral in closed form, -sin(pi alpha/2) times a finite
+    part (quad.reg_halfline).
     """
     if alpha < 0.0:
         raise DomainError("alpha must be >= 0")
-    n = u.n
     half = alpha / 2.0
     dist = abs(half - round(half))
     if dist <= 1e-12:
         return FLResult(_integer_branch(u, x, alpha), 0.0, "regularized",
-                        alpha, n, None)
+                        alpha, u.n, None)
     if dist < 1e-3:
         warnings.warn(
             "alpha within %g of an even integer: the fractional branch is "
             "ill-conditioned there; consider the analytic branch" % dist)
+    coef = (-2.0 * gamma(alpha + 1.0)
+            / (math.pi * unit_sphere_moment(u.n, alpha)))
 
-    umom = unit_sphere_moment(n, alpha)
-    coef = -2.0 * gamma(alpha + 1.0) / (math.pi * umom)
+    def radial(dirs, wts, rtol):
+        qmax = _taylor_order(u)
+        if qmax <= alpha + 1:
+            raise DomainError("field cannot supply enough derivative data "
+                              "for alpha = %g" % alpha)
+        val, err = _radial_singular(u, x, alpha, 0, qmax, rtol, dirs, wts)
+        # the kernel's eps -> 0+ limit is -sin(pi alpha/2) r^(-1-alpha)
+        lead = sin_half_pi(alpha)
+        return -lead * val, abs(lead) * err
 
-    if isinstance(u, PlaneWave):
-        k = u.wavenumber
-        s_val, s_err = _reg_cos_moment(alpha, tol)
-        eig = coef * umom * k ** alpha * s_val
-        u0 = u(np.atleast_1d(np.asarray(x, dtype=float)))
-        return FLResult(eig * u0, abs(coef * umom * k ** alpha) * s_err,
-                        "regularized", alpha, n, None)
-
-    scale = _field_scale(u)
-    big = u.decay_radius(x, tol * 1e-2)
-
-    qmax = _taylor_order(u)
-    if qmax <= alpha + 1:
-        raise DomainError("field cannot supply enough derivative data "
-                          "for alpha = %g" % alpha)
-
-    def compute(dirs, wts):
-        derivs = _angular_derivs(u, x, dirs, wts, range(0, qmax + 1, 2))
-
-        def profile(r):
-            return np.real(u.on_ray(x, dirs, r)) @ wts
-
-        return reg_halfline(profile, alpha, derivs, tol=tol, tail="decay",
-                            scale=scale, cutoff=big)
-
-    val, aerr, rerr = _angular_loop(compute, n, tol / max(abs(coef), 1e-3))
-    return FLResult(coef * val, abs(coef) * (aerr + tol + rerr),
-                    "regularized", alpha, n, None)
+    return _operator(u, x, alpha, coef, "regularized", tol, radial,
+                     functools.partial(_reg_cos_moment, alpha, tol))
 
 
 @functools.lru_cache(maxsize=64)
 def _plane_wave_v(m, alpha, tol):
-    # the radial factor of a difference form on a plane wave, V(m, alpha)
+    # the radial factor of a difference form on a plane wave, -V(m, alpha)
     # by real quadrature; like the cos moment below, a sweep over k reuses it
-    return v_integral_quadrature(m, alpha, tol=min(tol, 1e-12))
+    v = v_integral_quadrature(m, alpha, tol=min(tol, 1e-12))
+    return -v, v * 1e-11
 
 
 @functools.lru_cache(maxsize=64)
@@ -248,9 +230,8 @@ def fl_eigenvalue(representation, alpha, k, n=1, m=1, tol=1e-9):
 
     Exact answer is -k^alpha; the returned number keeps the quadrature
     content of the representation (the angular factor is analytic), so
-    agreement with -k^alpha is a genuine cross-check.  tol goes to the
-    standard and order-m forms; the regularized eigenvalue keeps its own
-    tolerance of 1e-10 (the fl_regularized default) whatever tol is.
+    agreement with -k^alpha is a genuine cross-check.  tol goes to each
+    representation.
     """
     if k <= 0.0:
         raise DomainError("k must be positive")
@@ -261,5 +242,5 @@ def fl_eigenvalue(representation, alpha, k, n=1, m=1, tol=1e-9):
     if representation == "order_m":
         return complex(fl_order_m(pw, x, alpha, m, tol=tol).value).real
     if representation == "regularized":
-        return complex(fl_regularized(pw, x, alpha).value).real
+        return complex(fl_regularized(pw, x, alpha, tol=tol).value).real
     raise DomainError("unknown representation %r" % representation)

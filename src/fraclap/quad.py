@@ -5,8 +5,8 @@ finite_part takes the Hadamard finite part of integral_0^inf f(r)
 r^(-1-alpha) dr for a smooth even profile f: its Taylor series term by
 term below a matching radius, adaptive quadrature beyond it, and a closed
 form past the quadrature radius.  The regularized half-line integral
-(reg_halfline), the difference forms (flcore) and the radial constant V
-(constants) call it with their own profile and Taylor data.
+(reg_halfline), the radial integral of every flcore form and the radial
+constant V (constants) call it with their own profile and Taylor data.
 """
 
 import cmath
@@ -17,6 +17,11 @@ import numpy as np
 
 class QuadratureError(RuntimeError):
     """Requested tolerance not met within the panel budget."""
+
+
+# relative rounding of a floating-point sum, the floor below which no
+# error estimate of a sum of terms can go
+_ROUND = 50.0 * np.finfo(float).eps
 
 
 # 15-point Kronrod rule with the embedded 7-point Gauss rule.
@@ -80,7 +85,7 @@ def integrate_adaptive(f, lo, hi, tol=1e-10, limit=20000, points=()):
     while True:
         total = sum(p[3] for p in panels)
         errsum = sum(p[0] for p in panels)
-        floor = 50.0 * np.finfo(float).eps * sum(abs(p[3]) for p in panels)
+        floor = _ROUND * sum(abs(p[3]) for p in panels)
         if errsum <= max(tol, floor):
             return total, errsum
         if len(panels) >= limit:
@@ -193,17 +198,31 @@ def finite_part(f, alpha, taylor, rem, tol, big, scale=1.0, waves=(),
     taylor maps even q (never alpha) to the coefficient of r^q in f at 0,
     and K r^e / e, with rem = (K, e), bounds the rest of the series
     against the power on (0, r).  The matching radius r_s halves from
-    scale/2 until that is below tol/20 (or r_s below 1e-4*scale); the
-    series integrates term by term below it and adaptive quadrature to
-    tol/4 covers (r_s, big).  Beyond big f is the sum of a*cos(omega*r)
-    over waves = [(a, omega)], integrated in closed form.  Returns (value,
-    error): remainder bound + quadrature estimate + tail bounds.
+    scale/2 while that bound is at least tol/20 and halving lowers its sum
+    with the rounding of the series head, _ROUND times the sum of the
+    terms' magnitudes: past that point a smaller r_s only trades
+    remainder for rounding.  The series integrates term by term below r_s
+    and adaptive quadrature to tol/4 covers (r_s, big).  Beyond big f is
+    the sum of a*cos(omega*r) over waves = [(a, omega)], integrated in
+    closed form.  Returns (value, error): remainder bound + head rounding
+    + quadrature estimate + tail bounds.
     """
     k, e = rem
+
+    def head(rs):
+        # the series terms up to rs, the remainder bound, their rounding
+        terms = [c * rs ** (q - alpha) / (q - alpha)
+                 for q, c in taylor.items()]
+        return terms, k * rs ** e / e, _ROUND * sum(map(abs, terms))
+
     rs = 0.5 * scale
-    while k * rs ** e / e >= 0.05 * tol and rs >= 1e-4 * scale:
+    terms, bound, rounding = head(rs)
+    while bound >= 0.05 * tol:
+        nxt = head(0.5 * rs)
+        if nxt[1] + nxt[2] >= bound + rounding:
+            break
         rs *= 0.5
-    head = sum(c * rs ** (q - alpha) / (q - alpha) for q, c in taylor.items())
+        terms, bound, rounding = nxt
     body, err = integrate_adaptive(lambda r: f(r) * r ** (-1.0 - alpha),
                                    rs, big, tol=0.25 * tol, points=points)
     tail = 0.0
@@ -211,10 +230,10 @@ def finite_part(f, alpha, taylor, rem, tol, big, scale=1.0, waves=(),
         if omega == 0.0:
             tail += a * big ** (-alpha) / alpha
         else:
-            val, bound = osc_power_tail(omega, big, alpha + 1.0)
+            val, cut = osc_power_tail(omega, big, alpha + 1.0)
             tail += a * val
-            err += abs(a) * bound
-    return head + body + tail, err + k * rs ** e / e
+            err += abs(a) * cut
+    return sum(terms) + body + tail, err + bound + rounding
 
 
 def reg_halfline(f, alpha, derivs, tol=1e-10, tail="decay", scale=1.0,

@@ -201,6 +201,25 @@ class TestVIntegral:
         assert v_integral(m, a) == pytest.approx(
             v_integral_quadrature(m, a), rel=1e-9)
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_near_even_alpha_against_mpmath(self, m):
+        # at even alpha = 2j < 2m the closed form is 0/0: its power sum
+        # and the sine both vanish; 90 digits carry the reference through
+        # the cancellation, and 1e-40 past 2j stands in for the limit
+        mp = pytest.importorskip("mpmath")
+        offs, w = diff_weights(m)
+        for j in range(1, m):
+            for d in (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3,
+                      -1e-3):
+                a = 2 * j + d
+                with mp.workdps(90):
+                    aa = mp.mpf(a) + (mp.mpf(10) ** -40 if d == 0.0 else 0)
+                    half = mp.fsum(int(wp) * mp.mpf(int(p)) ** aa
+                                   for p, wp in zip(offs, w) if p > 0)
+                    want = float(mp.pi * half / (mp.gamma(aa + 1)
+                                                 * mp.sin(mp.pi * aa / 2)))
+                assert v_integral(m, a) == pytest.approx(want, rel=1e-13)
+
     def test_positive(self):
         for m, a in ((1, 0.2), (2, 3.3), (4, 7.7)):
             assert v_integral(m, a) > 0.0

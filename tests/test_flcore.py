@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fraclap import flcore
 from fraclap.constants import (DomainError, norm_constants,
@@ -235,6 +236,37 @@ class TestClosedFormND:
         assert abs(res.value - want) <= 1e-9 * max(1.0, abs(want))
         assert abs(res.value - want) <= res.error
 
+    def test_tighter_tol_is_no_less_accurate(self):
+        # halving the matching radius past the point where the rounding of
+        # the series head takes over once made tol 1e-11 25 times less
+        # accurate here than tol 1e-10
+        u, x = Gaussian(1.0, n=3), np.zeros(3)
+        want = self.exact(3, 4.7, 0.0)
+        err = {tol: abs(fl_regularized(u, x, 4.7, tol=tol).value - want)
+               for tol in (1e-10, 1e-11, 1e-12)}
+        assert err[1e-11] <= err[1e-10]
+        assert err[1e-12] <= err[1e-10]
+
+    @given(st.sampled_from(["standard", "order_m", "regularized"]),
+           st.integers(1, 3), st.floats(0.02, 0.98), st.floats(0.6, 1.4),
+           st.lists(st.floats(-1.2, 1.2), min_size=3, max_size=3),
+           st.floats(-11.0, -7.0))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_error_covers_the_closed_form(self, rep, n, frac, sigma, xs,
+                                          log_tol):
+        # order_m runs at m = 2; alpha spans each form's window
+        alpha = frac * {"standard": 2.0, "order_m": 4.0,
+                        "regularized": 5.0}[rep]
+        assume(rep != "regularized" or abs(alpha - 2.0) > 2e-3
+               and abs(alpha - 4.0) > 2e-3)
+        u, x, tol = Gaussian(sigma, n=n), np.array(xs[:n]), 10.0 ** log_tol
+        res = {"standard": lambda: fl_standard(u, x, alpha, tol=tol),
+               "order_m": lambda: fl_order_m(u, x, alpha, 2, tol=tol),
+               "regularized": lambda: fl_regularized(u, x, alpha, tol=tol),
+               }[rep]()
+        want = self.exact(n, alpha, float(np.linalg.norm(x)), sigma)
+        assert abs(res.value - want) <= res.error
+
 
 class TestEigenvalue:
     @pytest.mark.parametrize("rep,alpha,m", [
@@ -252,7 +284,7 @@ class TestEigenvalue:
         # the cos profile's body spans ~200 periods; with one starting
         # panel its Kronrod and Gauss estimates could agree by accident
         k = 1.7
-        got = fl_eigenvalue("regularized", alpha, k)
+        got = fl_eigenvalue("regularized", alpha, k, tol=1e-10)
         assert abs(got + k ** alpha) <= 1e-10 * k ** alpha
 
     def test_dimension_independent(self):

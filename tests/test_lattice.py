@@ -114,7 +114,7 @@ class TestWmDispersion:
         a_min = float(str(err.value).rsplit(">= ", 1)[1])
         assert 1.00001 < a_min < 1.001
         lattice._level_range(SelfSimilarParams(delta=0.8, a=a_min, tol=1e-9),
-                             4.0, 1.0, 1.2)
+                             math.log(4.0), 0.0, 1.2)
 
     def test_positive(self):
         p = SelfSimilarParams(delta=0.9, a=1.7, m=2)
@@ -143,7 +143,8 @@ class TestReducedPhases:
         rng = random.Random(7)
         for kh in (0.37, 1.0, 2.9):
             p = SelfSimilarParams(delta=d, a=a, tol=1e-10)
-            s_pos, _ = lattice._level_range(p, 4.0, (kh / 2) ** 2, 2.0 - d)
+            s_pos, _ = lattice._level_range(p, math.log(4.0),
+                                            2.0 * math.log(kh), 2.0 - d)
             s0 = math.ceil(math.log(1e4 / (0.5 * kh)) / math.log(a))
             got = list(lattice._reduced_phases(kh, a, s0, s_pos))
             assert 0.5 * kh * a ** s_pos < 1e70
