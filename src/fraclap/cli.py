@@ -236,17 +236,14 @@ def _selftest_cases():
 
     def quad_cos_moment():
         alpha = 0.8
-        val, _ = reg_halfline(np.cos, alpha,
-                              derivs=lambda q: (-1.0) ** (q // 2),
-                              tail="cos", omega=1.0)
+        val = -constants.sin_half_pi(alpha) * constants.cos_moment(0, alpha)[0]
         exact = math.pi / (2.0 * constants.gamma(alpha + 1.0))
         return abs(val - exact) < 1e-8
 
     def quad_indicator():
         alpha = 0.6
         val, _ = reg_halfline(lambda t: 1.0 * (t < 1.0), alpha,
-                              derivs=lambda q: 0.0 if q else 1.0,
-                              tail="decay")
+                              derivs=lambda q: 0.0 if q else 1.0)
         return abs(val - i_reg(1.0, alpha)) < 1e-8
 
     def flcore_eigenvalue_agreement():

@@ -7,8 +7,9 @@ integer weights of (D - 1)^k, diff_weights is its centred order-2m case,
 stencil_moment their exact power sums, which every difference operator
 of the package takes its weights and small-step series from), the
 Richardson-refined even derivative, the unit-sphere angular moment, the
-sine-power radial integral, and the normalization constants tying the
-lattice, singular-integral and regularized forms together.
+cosine finite part of a stencil (the plane-wave radial factor of every
+operator form, and V by quadrature), and the normalization constants
+tying the lattice, singular-integral and regularized forms together.
 """
 
 import math
@@ -143,30 +144,52 @@ def unit_sphere_moment(n, alpha):
             * gamma(0.5 * (alpha + 1.0)) / gamma(0.5 * (alpha + n)))
 
 
-def v_integral_quadrature(m, alpha, tol=1e-12):
-    """V(m, alpha) = 2^(2m-alpha) integral_0^inf sin^(2m) x / x^(alpha+1).
+def radial_stencil(m):
+    """The stencil of a radial integral's profile: diff_weights(m), or the
+    single offset 1 (the field itself) for m = 0."""
+    return diff_weights(m) if m else (np.array([1]), np.array([1.0]))
 
-    The finite-part driver takes it in three regions: the Taylor series of
-    sin^(2m) term by term below x = 1/2 (the adaptive rule cannot resolve
-    the x^(2m-alpha-1) endpoint when alpha is close to 2m), adaptive
-    quadrature up to 60 pi, and beyond that the Fourier series of sin^(2m)
-    term by term in closed form.
+
+def cos_moment(m, alpha, tol=1e-12):
+    """Finite part of integral_0^inf sum_p w_p cos(p r) r^(-1-alpha) dr
+    over radial_stencil(m): -V(m, alpha) for m >= 1, and
+    Gamma(-alpha) cos(pi alpha/2) for m = 0.
+
+    It runs in x = r/2, where the stencil sum is -4^m sin(x)^(2m) (cos(2x)
+    for m = 0); summing the stencil itself cancels at large m.  The
+    coefficient of x^q is (-1)^(q/2) 2^q M_q / q! with M_q the stencil
+    moment, and each cos(2 p x) leaves out at most (2 p x)^q / q! at the
+    first order q left out.  Adaptive quadrature, split at each multiple
+    of pi, runs to 2(alpha+15) + pi, and the cosines beyond it are taken in
+    closed form.  Returns (value, error).
     """
-    _check_mv(m, alpha)
-    offs, w = diff_weights(m)
-    # sin^(2m) x is the sum of -w_p cos(2 p x) / 4^m, so its coefficient
-    # of x^q is (-1)^(q/2+1) 2^q M_q / (4^m q!), exact down to one rounding
-    waves = [(-wp / 4.0 ** m, 2.0 * abs(p)) for p, wp in zip(offs, w)]
-    taylor = {q: (-1) ** (q // 2 + 1) * 2 ** q * stencil_moment(offs, w, q)
-              / (4 ** m * math.factorial(q))
-              for q in range(2 * m, 2 * m + 40, 2)}
-    # each cos(omega x) leaves out at most (omega x)^q / q!
+    if m:
+        _check_mv(m, alpha)
+    elif alpha <= 0.0 or sin_half_pi(alpha) == 0.0:
+        raise DomainError("the m = 0 moment needs alpha > 0, not even")
+    offs, w = radial_stencil(m)
+    taylor = {q: (-1) ** (q // 2) * 2 ** q * stencil_moment(offs, w, q)
+              / math.factorial(q) for q in range(2 * m, 2 * m + 40, 2)}
     q = 2 * m + 40
-    rem = (sum(abs(c) * om ** q for c, om in waves) / math.factorial(q),
+    rem = (2 ** q * stencil_moment(offs, np.abs(w), q) / math.factorial(q),
            q - alpha)
-    val, _ = finite_part(lambda x: np.sin(x) ** (2 * m), alpha, taylor, rem,
-                         tol, 60.0 * math.pi, 1.0, waves, [1.0])
-    return 2.0 ** (2 * m - alpha) * val
+    if m:
+        def profile(x):
+            return -4.0 ** m * np.sin(x) ** (2 * m)
+    else:
+        def profile(x):
+            return np.cos(2.0 * x)
+    big = 2.0 * (alpha + 15.0) + math.pi
+    val, err = finite_part(profile, alpha, taylor, rem, tol, big, 1.0,
+                           [(wp, 2.0 * abs(p)) for p, wp in zip(offs, w)],
+                           math.pi * np.arange(1.0, big / math.pi))
+    return 2.0 ** -alpha * val, 2.0 ** -alpha * err
+
+
+def v_integral_quadrature(m, alpha, tol=1e-12):
+    """V(m, alpha) = 2^(2m-alpha) integral_0^inf sin^(2m) x / x^(alpha+1)
+    by quadrature: minus the cosine moment of the order-2m stencil."""
+    return -cos_moment(m, alpha, tol)[0]
 
 
 def v_integral(m, alpha):

@@ -3,8 +3,7 @@
 A field knows how to evaluate itself along rays, supplies analytic
 directional derivatives at a point (used for the small-radius series of
 the singular integrals), global derivative bounds (used for truncation
-estimates), and a decay radius.  Plane waves additionally expose their
-wavenumber so the operators can take the analytic angular reduction.
+estimates), and a decay radius.
 """
 
 import functools
@@ -38,7 +37,6 @@ class Field:
     """Base interface; n is the ambient dimension."""
 
     n = 1
-    wavenumber = None      # set for plane waves
     max_line_deriv = math.inf   # highest order line_deriv supplies
 
     def __call__(self, pts):

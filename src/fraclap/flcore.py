@@ -11,8 +11,10 @@ Three interchangeable routes to -(-Delta)^(alpha/2):
 All of them run through one driver (_operator), which integrates the
 angular average first and the radial variable second under one tolerance
 rule.  Plane waves take the analytic angular reduction through the
-unit-sphere moment; the radial factor is still computed by genuine
-quadrature, so cross-checks against -|k|^alpha stay meaningful.
+unit-sphere moment.  Their k-independent radial factor is one cosine
+finite part for every form (constants.cos_moment, cached per form and
+alpha) and is still computed by genuine quadrature, so cross-checks
+against -|k|^alpha stay meaningful.
 """
 
 import functools
@@ -22,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (DomainError, c_standard_levy, diff_weights, gamma,
-                        norm_constants, sin_half_pi, stencil_moment,
-                        unit_sphere_moment, v_integral_quadrature)
+from .constants import (DomainError, c_standard_levy, cos_moment, gamma,
+                        norm_constants, radial_stencil, sin_half_pi,
+                        stencil_moment, unit_sphere_moment)
 from .fields import PlaneWave
-from .quad import finite_part, reg_halfline
+from .quad import finite_part
 
 
 @dataclass
@@ -74,7 +76,7 @@ def _radial_singular(u, x, alpha, m, qmax, tol, dirs, wts):
     """integral over directions and radii of Delta_2m(r nhat) u(x)
     r^(-1-alpha), for a decaying field; m = 0 takes u(x + r nhat) itself,
     the profile of the regularized form.  Returns (value, err)."""
-    offs, w = diff_weights(m) if m else (np.array([1]), np.array([1.0]))
+    offs, w = radial_stencil(m)
     omega_tot = float(np.sum(wts))
 
     tiny = tol * 1e-2
@@ -122,23 +124,35 @@ def _angular_loop(compute, n, tol):
     return val, change, err
 
 
-def _operator(u, x, alpha, coef, label, tol, radial, wave, m=None):
+@functools.lru_cache(maxsize=64)
+def _plane_wave_factor(m, alpha, tol):
+    """The k-independent radial factor of a plane wave, (F, error): the
+    cosine finite part of radial_stencil(m), times the regularized
+    kernel's lead -sin(pi alpha/2) for m = 0.  A sweep over k reuses it."""
+    f, err = cos_moment(m, alpha, tol)
+    lead = 1.0 if m else -sin_half_pi(alpha)
+    return lead * f, abs(lead) * err
+
+
+def _operator(u, x, alpha, coef, label, tol, radial, m):
     """coef times a radial integral of u at x, the one path of all three
-    forms.  A plane wave takes the analytic angular reduction: coef U(n,
-    alpha) k^alpha u(x) times the k-independent factor wave() -> (F,
-    error).  Any other field runs the angular loop over radial(dirs, wts,
-    rtol) -> (value, error), where rtol = tol / max(|coef|, 1e-3) serves
-    the radial integral, its decay radius and the loop alike."""
+    forms; m is the stencil order of the profile, 0 for the field itself.
+    A plane wave takes the analytic angular reduction: coef U(n, alpha)
+    k^alpha u(x) times _plane_wave_factor at min(tol, 1e-12).  Any other
+    field runs the angular loop over radial(dirs, wts, rtol) -> (value,
+    error), where rtol = tol / max(|coef|, 1e-3) serves the radial
+    integral, its decay radius and the loop alike."""
     n = u.n
     if isinstance(u, PlaneWave):
         amp = coef * unit_sphere_moment(n, alpha) * u.wavenumber ** alpha
-        f, ferr = wave()
+        f, ferr = _plane_wave_factor(m, alpha, min(tol, 1e-12))
         u0 = u(np.atleast_1d(np.asarray(x, dtype=float)))
-        return FLResult(amp * f * u0, abs(amp) * ferr, label, alpha, n, m)
+        return FLResult(amp * f * u0, abs(amp) * ferr, label, alpha, n,
+                        m or None)
     rtol = tol / max(abs(coef), 1e-3)
     val, aerr, rerr = _angular_loop(lambda d, w: radial(d, w, rtol), n, rtol)
     return FLResult(coef * val, abs(coef) * (aerr + rtol + rerr), label,
-                    alpha, n, m)
+                    alpha, n, m or None)
 
 
 def _difference(u, x, alpha, m, coef, label, tol):
@@ -146,8 +160,7 @@ def _difference(u, x, alpha, m, coef, label, tol):
     def radial(dirs, wts, rtol):
         return _radial_singular(u, x, alpha, m, _taylor_order(u), rtol,
                                 dirs, wts)
-    return _operator(u, x, alpha, coef, label, tol, radial,
-                     functools.partial(_plane_wave_v, m, alpha, tol), m)
+    return _operator(u, x, alpha, coef, label, tol, radial, m)
 
 
 def fl_standard(u, x, alpha, tol=1e-9):
@@ -177,52 +190,31 @@ def fl_regularized(u, x, alpha, tol=1e-10):
     Even integer alpha dispatches to the analytic branch
     (-1)^(p+1) Delta^p u; fractional alpha takes the eps -> 0+ limit of
     the radial integral in closed form, -sin(pi alpha/2) times a finite
-    part (quad.reg_halfline).
+    part (quad.finite_part).
     """
     if alpha < 0.0:
         raise DomainError("alpha must be >= 0")
     half = alpha / 2.0
-    dist = abs(half - round(half))
-    if dist <= 1e-12:
+    if abs(half - round(half)) <= 1e-12:
         return FLResult(_integer_branch(u, x, alpha), 0.0, "regularized",
                         alpha, u.n, None)
-    if dist < 1e-3:
-        warnings.warn(
-            "alpha within %g of an even integer: the fractional branch is "
-            "ill-conditioned there; consider the analytic branch" % dist)
+    # the small-radius series needs line derivatives beyond order
+    # alpha + 1; a plane wave's factor has an exact series but keeps the
+    # field's order limit, beyond alpha
+    qmax = _taylor_order(u)
+    if qmax <= alpha + (0 if isinstance(u, PlaneWave) else 1):
+        raise DomainError("field cannot supply enough derivative data "
+                          "for alpha = %g" % alpha)
     coef = (-2.0 * gamma(alpha + 1.0)
             / (math.pi * unit_sphere_moment(u.n, alpha)))
 
     def radial(dirs, wts, rtol):
-        qmax = _taylor_order(u)
-        if qmax <= alpha + 1:
-            raise DomainError("field cannot supply enough derivative data "
-                              "for alpha = %g" % alpha)
         val, err = _radial_singular(u, x, alpha, 0, qmax, rtol, dirs, wts)
         # the kernel's eps -> 0+ limit is -sin(pi alpha/2) r^(-1-alpha)
         lead = sin_half_pi(alpha)
         return -lead * val, abs(lead) * err
 
-    return _operator(u, x, alpha, coef, "regularized", tol, radial,
-                     functools.partial(_reg_cos_moment, alpha, tol))
-
-
-@functools.lru_cache(maxsize=64)
-def _plane_wave_v(m, alpha, tol):
-    # the radial factor of a difference form on a plane wave, -V(m, alpha)
-    # by real quadrature; like the cos moment below, a sweep over k reuses it
-    v = v_integral_quadrature(m, alpha, tol=min(tol, 1e-12))
-    return -v, v * 1e-11
-
-
-@functools.lru_cache(maxsize=64)
-def _reg_cos_moment(alpha, tol):
-    # regularized half-line integral of cos(xi); analytic value
-    # pi / (2 Gamma(alpha+1)), but computed here by real quadrature.
-    # It does not depend on the wavenumber, so a sweep over k reuses it.
-    derivs = {q: (-1.0) ** (q // 2) for q in range(0, 15, 2)}
-    return reg_halfline(lambda x: np.cos(x), alpha, derivs, tol=tol,
-                        tail="cos", scale=1.0, omega=1.0)
+    return _operator(u, x, alpha, coef, "regularized", tol, radial, 0)
 
 
 def fl_eigenvalue(representation, alpha, k, n=1, m=1, tol=1e-9):

@@ -4,9 +4,11 @@ integrals.
 finite_part takes the Hadamard finite part of integral_0^inf f(r)
 r^(-1-alpha) dr for a smooth even profile f: its Taylor series term by
 term below a matching radius, adaptive quadrature beyond it, and a closed
-form past the quadrature radius.  The regularized half-line integral
-(reg_halfline), the radial integral of every flcore form and the radial
-constant V (constants) call it with their own profile and Taylor data.
+form past the quadrature radius.  Its three callers supply their own
+profile and Taylor data: the regularized half-line integral of a
+decaying profile (reg_halfline), the radial integral of every flcore
+form, and the cosine finite part of a stencil (constants.cos_moment),
+which is every form's plane-wave factor and V by quadrature.
 """
 
 import cmath
@@ -236,20 +238,16 @@ def finite_part(f, alpha, taylor, rem, tol, big, scale=1.0, waves=(),
     return sum(terms) + body + tail, err + bound + rounding
 
 
-def reg_halfline(f, alpha, derivs, tol=1e-10, tail="decay", scale=1.0,
-                 omega=None, cutoff=None):
+def reg_halfline(f, alpha, derivs, tol=1e-10):
     """eps -> 0+ limit of integral_0^inf f(xi) Re(eps-i*xi)^(-alpha-1) dxi.
 
-    f must be the restriction to (0, inf) of a smooth *even* profile, and
-    derivs maps even order q to f^(q)(0) (a dict or callable; a missing
-    order ends the Taylor data).  tail selects the closure beyond the
-    quadrature radius: "decay" (f negligible there) or "cos" for the
-    profile f = cos(omega*xi).  cutoff sets the quadrature radius of a
-    decaying profile (default 30*scale).
+    f must be the restriction to (0, inf) of a smooth *even* profile that
+    is negligible beyond xi = 30, and derivs maps even order q to
+    f^(q)(0) (a dict or callable; a missing order ends the Taylor data).
 
-    The kernel tends to -sin(pi*alpha/2) xi^(-alpha-1) away from 0 and its
-    moments at eps = 0 (kernel_moment) are that power's finite parts, so
-    the limit is -sin(pi*alpha/2) times finite_part.  Returns (value,
+    The kernel tends to -sin(pi*alpha/2) xi^(-alpha-1) away from 0, and
+    its eps -> 0 moments near 0 are that power's finite parts, so the
+    limit is -sin(pi*alpha/2) times finite_part.  Returns (value,
     error_estimate).
     """
     from .constants import sin_half_pi
@@ -270,26 +268,12 @@ def reg_halfline(f, alpha, derivs, tol=1e-10, tail="decay", scale=1.0,
     if qmax <= alpha:
         raise ValueError("need Taylor data beyond order alpha")
 
-    # outer radius, and split points that keep each starting panel short
-    # enough for the Kronrod-Gauss estimate to see the profile
-    if tail == "decay":
-        big = cutoff if cutoff is not None else 30.0 * scale
-        split, waves = [1.0], []
-    elif tail == "cos":
-        if omega is None or omega <= 0.0:
-            raise ValueError("cos tail needs omega > 0")
-        big = 80.0 * (alpha + 15.0) / omega
-        period = 2.0 * math.pi / omega
-        split, waves = period * np.arange(1.0, big / period), [(1.0, omega)]
-    else:
-        raise ValueError("unknown tail mode %r" % (tail,))
-
     lead = -sin_half_pi(alpha)      # the kernel is lead * xi^(-alpha-1)
     if lead == 0.0:
         # even alpha: only the q = alpha moment is left, the limit of
         # lead / (q - alpha)
         return 0.5 * math.pi * (-1) ** round(alpha / 2) * taylor[alpha], 0.0
     val, err = finite_part(f, alpha, taylor,
-                           (abs(taylor[qmax]), qmax - alpha), tol, big,
-                           scale, waves, split)
+                           (abs(taylor[qmax]), qmax - alpha), tol, 30.0,
+                           points=[1.0])
     return lead * val, abs(lead) * err

@@ -149,8 +149,7 @@ def test_criterion_7_regularized_kernel_moments():
     worst = 0.0
     for alpha in (0.5, 1.0, 1.5):
         val, _ = reg_halfline(lambda t: 1.0 * (t < 1.0), alpha,
-                              derivs=lambda q: 0.0 if q else 1.0,
-                              tail="decay")
+                              derivs=lambda q: 0.0 if q else 1.0)
         worst = max(worst, abs(val - i_reg(1.0, alpha)))
     limit_err = abs(i_reg(1.0, 1e-6) - math.pi / 2.0)
     report(7, worst < 1e-6 and limit_err < 1e-6,

@@ -131,9 +131,6 @@ class TestUserField:
 
 
 class TestFieldBase:
-    def test_wavenumber_none_for_gaussian(self):
-        assert Gaussian(1.0).wavenumber is None
-
     def test_plane_wave_reports_wavenumber(self):
         k = np.array([0.0, 2.0])
         assert PlaneWave(k).wavenumber == pytest.approx(2.0)

@@ -7,13 +7,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fraclap import flcore
-from fraclap.constants import (DomainError, norm_constants,
-                               v_integral_quadrature)
+from fraclap.constants import DomainError, cos_moment, norm_constants
 from fraclap.fields import Gaussian, PlaneWave, UserField
 from fraclap.flcore import (fl_eigenvalue, fl_order_m, fl_regularized,
                             fl_standard, sphere_rule)
 from fraclap.oracle import gaussian_reference
-from fraclap.quad import reg_halfline
 
 # reference values for the unit Gaussian, computed to 20 digits with
 # arbitrary-precision quadrature of the defining integrals
@@ -146,18 +144,16 @@ class TestRegularized:
             assert got.error == 0.0
 
     def test_continuous_across_two(self):
-        u = Gaussian(1.0)
-        x = np.array([0.5])
-        at2 = fl_regularized(u, x, 2.0).value
-        below = fl_regularized(u, x, 2.0 - 1e-3).value
-        above = fl_regularized(u, x, 2.0 + 1e-3).value
-        assert below == pytest.approx(at2, rel=2e-2)
-        assert above == pytest.approx(at2, rel=2e-2)
-
-    def test_near_integer_warning(self):
-        u = Gaussian(1.0)
-        with pytest.warns(UserWarning, match="even integer"):
-            fl_regularized(u, np.array([0.0]), 2.0 + 1e-4)
+        # the fractional branch stays within tol of the closed form however
+        # close alpha comes to the even integer
+        tol = 1e-9
+        for n in (1, 3):
+            u, x = Gaussian(1.0, n=n), np.full(n, 0.5 / math.sqrt(n))
+            for alpha in (2.0 + s * d for d in (1e-3, 1e-6, 1e-9)
+                          for s in (-1.0, 1.0)):
+                want = TestClosedFormND.exact(n, alpha, 0.5)
+                got = fl_regularized(u, x, alpha, tol=tol).value
+                assert abs(got - want) <= tol
 
     def test_negative_alpha(self):
         with pytest.raises(DomainError):
@@ -292,34 +288,53 @@ class TestEigenvalue:
             got = fl_eigenvalue("standard", 1.2, 1.5, n=n)
             assert got == pytest.approx(-(1.5 ** 1.2), rel=1e-7)
 
-    def test_regularized_sweep_computes_one_cos_moment(self, monkeypatch):
-        # the cos moment does not depend on k, so a sweep computes it once
+    def test_sweep_computes_one_factor_per_form(self, monkeypatch):
+        # the plane-wave factor does not depend on k, so the default
+        # four-point eig sweep computes it once for each form
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return reg_halfline(*args, **kwargs)
-
-        flcore._reg_cos_moment.cache_clear()
-        monkeypatch.setattr(flcore, "reg_halfline", counted)
-        for k in (0.5, 1.0, 2.0):
-            fl_eigenvalue("regularized", 0.9, k)
-        assert calls == [0.9]
-
-    def test_standard_sweep_computes_one_v(self, monkeypatch):
-        # V(m, alpha) does not depend on k either: the default four-point
-        # eig sweep computes it once
-        calls = []
-
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(args)
-            return v_integral_quadrature(*args, **kwargs)
+            return cos_moment(*args)
 
-        flcore._plane_wave_v.cache_clear()
-        monkeypatch.setattr(flcore, "v_integral_quadrature", counted)
-        for k in (0.5, 1.0, 1.5, 2.0):
-            fl_eigenvalue("standard", 1.2, k)
-        assert calls == [(1, 1.2)]
+        flcore._plane_wave_factor.cache_clear()
+        monkeypatch.setattr(flcore, "cos_moment", counted)
+        for rep, m in (("standard", 1), ("order_m", 2), ("regularized", 1)):
+            for k in (0.5, 1.0, 1.5, 2.0):
+                fl_eigenvalue(rep, 1.2, k, m=m)
+        assert calls == [(1, 1.2, 1e-12), (2, 1.2, 1e-12), (0, 1.2, 1e-12)]
+
+    @given(st.floats(0.01, 13.9), st.floats(0.3, 3.0), st.floats(-10.0, -8.0))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_regularized_error_covers_the_power_law(self, alpha, k, log_tol):
+        # the cosine tail starts where osc_power_tail's asymptotic series
+        # holds at every alpha up to the field's order limit 14
+        tol = 10.0 ** log_tol
+        res = fl_regularized(PlaneWave([k]), np.zeros(1), alpha, tol=tol)
+        got = fl_eigenvalue("regularized", alpha, k, tol=tol)
+        assert got == complex(res.value).real
+        assert abs(got + k ** alpha) <= res.error
+
+    def test_plane_wave_error_covers_the_power_law(self):
+        k = 1.3
+        alphas = [0.05 + 0.5 * j for j in range(8)] + [3.95]
+        for form, extra, limit in ((fl_standard, (), 2.0),
+                                   (fl_order_m, (2,), 4.0),
+                                   (fl_regularized, (), 4.0)):
+            for n in (1, 2, 3):
+                pw = PlaneWave(np.full(n, k / math.sqrt(n)))
+                x = np.linspace(0.3, -0.4, n)
+                want = [-(k ** a) * complex(pw(x)) for a in alphas]
+                for a, w in zip(alphas, want):
+                    for tol in (1e-8, 1e-10):
+                        if a < limit:
+                            res = form(pw, x, a, *extra, tol=tol)
+                            assert abs(res.value - w) <= res.error, (n, a)
+
+    def test_regularized_needs_taylor_data_beyond_alpha(self):
+        # a plane wave's derivatives end at order 14
+        with pytest.raises(DomainError):
+            fl_eigenvalue("regularized", 14.0 + 1e-3, 1.0)
 
     def test_bad_inputs(self):
         with pytest.raises(DomainError):

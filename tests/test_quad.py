@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraclap.constants import gamma
+from fraclap.constants import cos_moment, gamma, sin_half_pi
 from fraclap.quad import (QuadratureError, finite_part, i_reg,
                           integrate_adaptive, kernel_moment, osc_power_tail,
                           reg_halfline)
@@ -119,8 +119,8 @@ class TestKernelMoment:
     @pytest.mark.parametrize("q,a,cut", [(0, 0.6, 0.5), (2, 1.2, 0.3),
                                          (4, 2.5, 0.7), (0, 3.3, 0.25)])
     def test_eps_to_zero_is_linear(self, q, a, cut):
-        # reg_halfline takes the moments at eps = 0: the eps > 0 moments
-        # approach them with error proportional to eps
+        # the eps -> 0 limit is the finite part at eps = 0: the eps > 0
+        # moments approach it with error proportional to eps
         lim = kernel_moment(q, a, 0.0, cut)
         d1, d2 = (kernel_moment(q, a, eps, cut) - lim
                   for eps in (5e-4, 2.5e-4))
@@ -202,11 +202,12 @@ class TestFinitePart:
 
 class TestRegHalfline:
     def test_cosine_moment(self):
-        # int_0^inf cos(xi) Re(eps-i xi)^(-a-1) dxi -> pi / (2 Gamma(a+1))
+        # int_0^inf cos(xi) Re(eps-i xi)^(-a-1) dxi -> pi / (2 Gamma(a+1)),
+        # -sin(pi a/2) times the m = 0 cosine finite part
         for a in (0.4, 1.7, 2.6):
-            val, err = reg_halfline(np.cos, a,
-                                    derivs=lambda q: (-1.0) ** (q // 2),
-                                    tail="cos", omega=1.0)
+            f, ferr = cos_moment(0, a)
+            lead = -sin_half_pi(a)
+            val, err = lead * f, abs(lead) * ferr
             exact = 0.5 * math.pi / gamma(a + 1.0)
             assert val == pytest.approx(exact, abs=5e-9)
             assert abs(val - exact) <= err < 1e-6
@@ -214,14 +215,13 @@ class TestRegHalfline:
     def test_indicator_matches_closed_form(self):
         for a in (0.5, 1.0, 1.5):
             val, _ = reg_halfline(lambda t: 1.0 * (t < 1.0), a,
-                                  derivs=lambda q: 0.0 if q else 1.0,
-                                  tail="decay")
+                                  derivs=lambda q: 0.0 if q else 1.0)
             assert val == pytest.approx(i_reg(1.0, a), abs=1e-9)
 
     def test_gaussian_profile(self):
         a = 1.2
         val, _ = reg_halfline(lambda t: np.exp(-t * t), a,
-                              derivs=gauss_derivs, tail="decay")
+                              derivs=gauss_derivs)
         # independent spectral route: scaling the regularized integral by
         # -2 Gamma(a+1)/pi gives the operator value at the origin
         import mpmath as mp
@@ -235,7 +235,7 @@ class TestRegHalfline:
         # direct quadrature of the eps-regularized integral approaches the
         # closed-form limit linearly in eps; one Richardson step recovers it
         f = lambda t: np.exp(-t * t)
-        lim, _ = reg_halfline(f, a, derivs=gauss_derivs, tail="decay")
+        lim, _ = reg_halfline(f, a, derivs=gauss_derivs)
 
         def direct(eps):
             return integrate_adaptive(lambda t: f(t) * reg_kernel(t, a, eps),
@@ -252,11 +252,10 @@ class TestRegHalfline:
         # pi / (2 Gamma(alpha + 1)) of the cosine moment holds there too
         for a in (2.0, 4.0):
             val, _ = reg_halfline(np.cos, a,
-                                  derivs=lambda q: (-1.0) ** (q // 2),
-                                  tail="cos", omega=1.0)
+                                  derivs=lambda q: (-1.0) ** (q // 2))
             assert val == pytest.approx(0.5 * math.pi / gamma(a + 1.0),
                                         rel=1e-15)
 
     def test_requires_taylor_data(self):
         with pytest.raises(ValueError):
-            reg_halfline(np.cos, 2.5, derivs={0: 1.0}, tail="cos", omega=1.0)
+            reg_halfline(np.cos, 2.5, derivs={0: 1.0})
