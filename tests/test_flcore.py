@@ -288,9 +288,8 @@ class TestEigenvalue:
             got = fl_eigenvalue("standard", 1.2, 1.5, n=n)
             assert got == pytest.approx(-(1.5 ** 1.2), rel=1e-7)
 
-    def test_sweep_computes_one_factor_per_form(self, monkeypatch):
-        # the plane-wave factor does not depend on k, so the default
-        # four-point eig sweep computes it once for each form
+    @staticmethod
+    def _count_factors(monkeypatch):
         calls = []
 
         def counted(*args):
@@ -299,10 +298,23 @@ class TestEigenvalue:
 
         flcore._plane_wave_factor.cache_clear()
         monkeypatch.setattr(flcore, "cos_moment", counted)
-        for rep, m in (("standard", 1), ("order_m", 2), ("regularized", 1)):
+        return calls
+
+    def test_regularized_sweep_computes_one_cos_moment(self, monkeypatch):
+        # the cos moment does not depend on k, so a sweep computes it once
+        calls = self._count_factors(monkeypatch)
+        for k in (0.5, 1.0, 2.0):
+            fl_eigenvalue("regularized", 0.9, k)
+        assert calls == [(0, 0.9, 1e-12)]
+
+    def test_standard_sweep_computes_one_v(self, monkeypatch):
+        # V(m, alpha) does not depend on k either: the default four-point
+        # eig sweep computes it once for each stencil order
+        calls = self._count_factors(monkeypatch)
+        for rep, m in (("standard", 1), ("order_m", 2)):
             for k in (0.5, 1.0, 1.5, 2.0):
                 fl_eigenvalue(rep, 1.2, k, m=m)
-        assert calls == [(1, 1.2, 1e-12), (2, 1.2, 1e-12), (0, 1.2, 1e-12)]
+        assert calls == [(1, 1.2, 1e-12), (2, 1.2, 1e-12)]
 
     @given(st.floats(0.01, 13.9), st.floats(0.3, 3.0), st.floats(-10.0, -8.0))
     @settings(max_examples=40, deadline=None, derandomize=True)
