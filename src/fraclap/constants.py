@@ -4,8 +4,8 @@ Everything here is exact analysis: the Euler gamma function (the
 standard library's math.gamma), the half-angle sine with exact zeros at
 even integers, the one difference stencil (forward_weights builds the
 integer weights of (D - 1)^k, diff_weights is its centred order-2m case,
-stencil_moment their exact power sums, which every difference operator
-of the package takes its weights and small-step series from), the
+stencil_moment their exact power sums, stencil_series the small-step
+series and its remainder that every difference operator takes), the
 Richardson-refined even derivative, the unit-sphere angular moment, the
 cosine finite part of a stencil (the plane-wave radial factor of every
 operator form, and V by quadrature), and the normalization constants
@@ -98,6 +98,21 @@ def stencil_moment(offs, w, q):
                             for t, lg in zip(terms, logs))
 
 
+def stencil_series(offs, w, orders, deriv, sup):
+    """The small-step series sum_p w_p g(p z) = sum_q c_q z^q + R(z) as
+    (c, K): c maps each q in the range orders with M_q != 0 to
+    M_q g^(q)(0) / q!, g^(q)(0) = deriv(q), and each offset's Lagrange
+    remainder at e = orders.stop gives |R(z)| <= K z^e with K = sum_p
+    |w_p p^e| sup(e) / e!, sup(e) >= |g^(e)|.  A range of step 2 takes the
+    odd orders it skips as 0 (symmetric stencils, antipodal directions)."""
+    moments = {q: stencil_moment(offs, w, q) for q in orders}
+    c = {q: mq / math.factorial(q) * deriv(q)
+         for q, mq in moments.items() if mq}
+    e = orders.stop
+    return c, (stencil_moment(np.abs(offs), np.abs(w), e)
+               / math.factorial(e) * sup(e))
+
+
 def even_deriv(sample, q, h):
     """q-th derivative at 0 (q even) of a smooth function by central
     differences at steps h and h/2, Richardson-refined.
@@ -156,23 +171,20 @@ def cos_moment(m, alpha, tol=1e-12):
     Gamma(-alpha) cos(pi alpha/2) for m = 0.
 
     It runs in x = r/2, where the stencil sum is -4^m sin(x)^(2m) (cos(2x)
-    for m = 0); summing the stencil itself cancels at large m.  The
-    coefficient of x^q is (-1)^(q/2) 2^q M_q / q! with M_q the stencil
-    moment, and each cos(2 p x) leaves out at most (2 p x)^q / q! at the
-    first order q left out.  Adaptive quadrature, split at each multiple
-    of pi, runs to 2(alpha+15) + pi, and the cosines beyond it are taken in
-    closed form.  Returns (value, error).
+    for m = 0); summing the stencil itself cancels at large m.  The series
+    is stencil_series of cos(2x) to order 2m + 38.  Adaptive quadrature,
+    split at each multiple of pi, runs to 2(alpha+15) + pi, and the
+    cosines beyond it are taken in closed form.  Returns (value, error).
     """
     if m:
         _check_mv(m, alpha)
     elif alpha <= 0.0 or sin_half_pi(alpha) == 0.0:
         raise DomainError("the m = 0 moment needs alpha > 0, not even")
     offs, w = radial_stencil(m)
-    taylor = {q: (-1) ** (q // 2) * 2 ** q * stencil_moment(offs, w, q)
-              / math.factorial(q) for q in range(2 * m, 2 * m + 40, 2)}
-    q = 2 * m + 40
-    rem = (2 ** q * stencil_moment(offs, np.abs(w), q) / math.factorial(q),
-           q - alpha)
+    e = 2 * m + 40
+    taylor, k = stencil_series(offs, w, range(2 * m, e, 2),
+                               lambda q: (-1) ** (q // 2) * 2 ** q,
+                               lambda q: 2 ** q)
     if m:
         def profile(x):
             return -4.0 ** m * np.sin(x) ** (2 * m)
@@ -180,8 +192,8 @@ def cos_moment(m, alpha, tol=1e-12):
         def profile(x):
             return np.cos(2.0 * x)
     big = 2.0 * (alpha + 15.0) + math.pi
-    val, err = finite_part(profile, alpha, taylor, rem, tol, big, 1.0,
-                           [(wp, 2.0 * abs(p)) for p, wp in zip(offs, w)],
+    val, err = finite_part(profile, alpha, taylor, (k, e - alpha), tol, big,
+                           1.0, [(wp, 2.0 * abs(p)) for p, wp in zip(offs, w)],
                            math.pi * np.arange(1.0, big / math.pi))
     return 2.0 ** -alpha * val, 2.0 ** -alpha * err
 

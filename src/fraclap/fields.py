@@ -13,6 +13,8 @@ import numpy as np
 
 from .constants import even_deriv
 
+_SUP_SAMPLES = 20001    # grid points of _hermite_gauss_sup's search
+
 
 def hermite_poly(q, t):
     """Physicists' Hermite H_q(t), three-term recursion, vectorized."""
@@ -27,9 +29,9 @@ def hermite_poly(q, t):
 
 
 @functools.lru_cache(maxsize=None)
-def _hermite_gauss_sup(q, samples=20001):
+def _hermite_gauss_sup(q):
     # sup over R of |H_q(t) exp(-t^2)|; the max sits below sqrt(2q)+2
-    t = np.linspace(0.0, math.sqrt(2.0 * q + 1.0) + 3.0, samples)
+    t = np.linspace(0.0, math.sqrt(2.0 * q + 1.0) + 3.0, _SUP_SAMPLES)
     return float(np.max(np.abs(hermite_poly(q, t)) * np.exp(-t * t))) * 1.01
 
 

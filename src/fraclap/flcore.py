@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import (DomainError, c_standard_levy, cos_moment, gamma,
                         norm_constants, radial_stencil, sin_half_pi,
-                        stencil_moment, unit_sphere_moment)
+                        stencil_series, unit_sphere_moment)
 from .fields import PlaneWave
 from .quad import finite_part
 
@@ -67,8 +67,7 @@ def sphere_rule(n, level=0):
 
 
 def _taylor_order(u):
-    """Highest even order of the small-radius Taylor series: 14, or fewer
-    when the field's line_deriv supplies fewer."""
+    """The small-radius series' last order: 14, or max_line_deriv if less."""
     return min(14, u.max_line_deriv)
 
 
@@ -82,17 +81,12 @@ def _radial_singular(u, x, alpha, m, qmax, tol, dirs, wts):
     tiny = tol * 1e-2
     big = u.decay_radius(x, tiny)
 
-    moments = {q: stencil_moment(offs, w, q) for q in range(0, qmax + 3, 2)}
-    # series coefficients from order 2m up; the order-0 sum feeds the tail
-    qs = [q for q in range(2 * m, qmax + 1, 2) if moments[q] != 0.0]
-    # sphere-rule sums of the line derivatives
-    derivs = {q: float(np.real(u.line_deriv(x, dirs, q)) @ wts)
-              for q in dict.fromkeys([0] + qs)}
-    taylor = {q: moments[q] * derivs[q] / math.factorial(q) for q in qs}
-    # the first order left out, bounded through the sup of its derivative
-    q = qmax + 2
-    rem = (abs(moments[q]) * u.sup_line_deriv(q) * omega_tot
-           / math.factorial(q), q - alpha)
+    def deriv(q):   # sphere-rule sum of the line derivatives
+        return float(np.real(u.line_deriv(x, dirs, q)) @ wts)
+
+    # the series from order 2m up, its remainder at order qmax + 2
+    taylor, k = stencil_series(offs, w, range(2 * m, qmax + 2, 2), deriv,
+                               lambda q: u.sup_line_deriv(q) * omega_tot)
 
     # a ray call per stencil offset: batches 2m+1 times smaller in memory
     def profile(r):
@@ -100,9 +94,9 @@ def _radial_singular(u, x, alpha, m, qmax, tol, dirs, wts):
 
     # beyond the decay radius only the central weight survives
     w0 = float(np.sum(w[offs == 0]))
-    val, err = finite_part(profile, alpha, taylor, rem, tol, big,
-                           min(getattr(u, "sigma", 1.0), 1.0),
-                           [(w0 * derivs[0], 0.0)], [1.0])
+    val, err = finite_part(profile, alpha, taylor, (k, qmax + 2 - alpha),
+                           tol, big, min(getattr(u, "sigma", 1.0), 1.0),
+                           [(w0 * deriv(0), 0.0)] if w0 else [], [1.0])
     return val, err + omega_tot * 4.0 ** m * tiny * big ** (-alpha) / alpha
 
 

@@ -1,10 +1,10 @@
 """Self-similar harmonic chains and their Weierstrass-Mandelbrot spectra.
 
 The lattice operators are bi-infinite sums over dilation levels s with
-weight a^(-delta*s).  Both tails are truncated with certified geometric
-bounds: for s -> +inf the difference operators are bounded by the sup of
-the field, for s -> -inf by the mean-value bound l^q sup|u^(q)| on a
-step-l difference of order q.
+weight a^(-delta*s).  The s -> +inf tail is cut with a certified geometric
+bound, the sup of the field.  As s -> -inf a field's levels take the
+stencil's small-step series and sum in closed form; the dispersion cuts
+that tail too, by sin x <= x.
 """
 
 import math
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import (DomainError, check_order, diff_weights,
-                        forward_weights, stencil_moment, v_integral)
+                        forward_weights, stencil_moment, stencil_series,
+                        v_integral)
 from .quad import integrate_adaptive
 
 # the most levels one sum may take; the count grows like 1/ln a as a -> 1
@@ -50,22 +51,26 @@ class SelfSimilarParams:
         return math.log(self.a)
 
 
-def _level_range(p, log_pos, log_neg, decay_neg):
-    """Symmetric truncation: largest |s| kept on each side.
+def _level_range(p, log_pos, *neg, below=0):
+    """Truncation: largest |s| kept on each side, one count per side given.
 
     e^log_pos bounds the summand for s >= 0 up to the factor a^(-delta*s);
-    e^log_neg * a^(decay_neg*s) bounds it for s < 0 (decay_neg > 0), in
-    logs so that no bound overflows.  Each omitted tail stays below tol/2.
+    neg = (log_neg, decay_neg), if given, bounds it for s < 0 by
+    e^log_neg * a^(decay_neg*s) (decay_neg > 0), in logs so that no bound
+    overflows.  Each omitted tail stays below tol/2.  The budget also
+    counts the levels below 0 that the caller sums itself.
     """
     la = math.log(p.a)
+    sides = [(log_pos, p.delta), neg] if neg else [(log_pos, p.delta)]
     n = [(amp - math.log(0.5 * p.tol * (1.0 - p.a ** -decay))) / (decay * la)
-         for amp, decay in ((log_pos, p.delta), (log_neg, decay_neg))]
-    if not sum(n) <= _MAX_LEVELS:
-        # n falls at least like 1/ln a as a grows: scale ln a by the overshoot
+         for amp, decay in sides]
+    levels = sum(n) + below
+    if not levels <= _MAX_LEVELS:
+        # the count falls at least like 1/ln a: scale ln a by the overshoot
         raise DomainError("the level sum needs %.3g levels, over the budget "
-                          "of %d; use a >= %r" % (sum(n), _MAX_LEVELS,
-                              math.exp(min(la * sum(n) / _MAX_LEVELS, 709))))
-    return max(1, math.ceil(n[0])), max(1, math.ceil(n[1]))
+                          "of %d; use a >= %r" % (levels, _MAX_LEVELS,
+                              math.exp(min(la * levels / _MAX_LEVELS, 709))))
+    return tuple(max(1, math.ceil(ni)) for ni in n)
 
 
 def _reduced_phases(kh, a, s0, s1):
@@ -128,54 +133,37 @@ def wm_dispersion(kh, p):
     return float(4.0 ** m * np.sum(terms))
 
 
-def _small_step_series(u, x, offs, w, k):
-    """Coefficients c of the small-step series sum_p w_p u(x + p*z) =
-    z^k sum_i c_i z^i of a stencil of order k along the line through x.
-
-    c_i = M_(k+i) u^(k+i)(x) / (k+i)! over the nonzero exact moments M_q
-    of orders k..k+13, capped at the field's max_line_deriv as in
-    flcore._taylor_order; one term is no series, so a field that supplies
-    fewer than two raises from its line_deriv.
-    """
-    moments = {q: stencil_moment(offs, w, q) for q in range(k, k + 14)}
-    qs = [q for q, mq in moments.items() if mq]
-    qs = qs[:max(2, sum(q <= u.max_line_deriv for q in qs))]
-    c = np.zeros(qs[-1] - k + 1, dtype=complex)
-    for q in qs:
-        c[q - k] = (moments[q] / math.factorial(q)
-                    * complex(u.line_deriv(x, np.ones(1), q)))
-    return c
-
-
 def _level_sum(u, x, p, offs, w, square):
     """sum_s a^(-delta*s) d_s, with d_s the stencil (offs, w) applied to u
     at x with step h a^s, or the square of its real part.
 
-    Where step^k sup|u^(k)| < 1e-5 |u(x)|, k the stencil's order, the
-    direct difference is dominated by cancellation noise; there it is the
-    small-step series over step^k, and the level weight a^(-delta*s)
-    times the step^k of each factor is h^(2m) a^((2m-delta)s), 2m the
-    order of the product, which does not overflow.
+    The stencil's series (constants.stencil_series from its order k to
+    k + 29, or to the field's max_line_deriv) leaves out at most K step^e.
+    The levels where that is below the direct difference's rounding
+    eps sum|w| max(|u(x)|, 1) take it and sum in closed form, one geometric
+    series a^((j - delta)s) per power step^j; the rest are differences.
     """
     k = next(q for q in range(len(offs)) if stencil_moment(offs, w, q))
-    power = 2 if square else 1
+    la, w_sum = math.log(p.a), float(np.sum(np.abs(w)))
     sup_u = max(abs(u(np.atleast_1d(np.asarray(x, dtype=float)))), 1.0)
-    sup_d = u.sup_line_deriv(k)
-    s_pos, s_neg = _level_range(
-        p, power * math.log(np.sum(np.abs(w)) * sup_u),
-        power * (k * math.log(p.h) + math.log(sup_d)), k * power - p.delta)
-    total, series = 0.0, None
-    for s in range(-s_neg, s_pos + 1):
-        step = p.h * p.a ** s
-        if step ** k * sup_d < 1e-5 * sup_u:
-            if series is None:
-                series = _small_step_series(u, x, offs, w, k)
-            diff = complex(np.polyval(series[::-1], step))
-            weight = p.h ** (k * power) * p.a ** ((k * power - p.delta) * s)
-        else:
-            diff = complex(w @ u.on_ray(x, np.ones(1), offs * step))
-            weight = p.a ** (-p.delta * s)
-        total += weight * diff.real * diff.real if square else weight * diff
+    e = min(k + 30, max(k, u.max_line_deriv) + 1)
+    c, rem = stencil_series(offs, w, range(k, e), lambda q: complex(
+        u.line_deriv(x, np.ones(1), q)), u.sup_line_deriv)
+    qs, cq = np.array(list(c), dtype=float), np.array(list(c.values()))
+    # the top series level: rem step^e under the rounding, step^q finite
+    rnd, lh = np.finfo(float).eps * w_sum * sup_u, math.log(p.h)
+    top = min(math.ceil((math.log(rnd / max(rem, 1e-300)) / e - lh) / la) - 1,
+              math.floor((700.0 / qs.max() - lh) / la))
+    cq = cq * (p.h * p.a ** top) ** qs      # the terms at the top level
+    if square:      # every product of two terms' real parts
+        qs, cq = np.add.outer(qs, qs), np.outer(cq.real, cq.real)
+    total = (np.sum(cq / -np.expm1((p.delta - qs) * la))
+             * p.a ** (-p.delta * top))
+    s_pos, = _level_range(p, (2 if square else 1) * math.log(w_sum * sup_u),
+                          below=-top)
+    for s in range(top + 1, s_pos + 1):
+        diff = complex(w @ u.on_ray(x, np.ones(1), offs * (p.h * p.a ** s)))
+        total += p.a ** (-p.delta * s) * (diff.real ** 2 if square else diff)
     return total
 
 

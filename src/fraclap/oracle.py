@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_IMAGES, _IMAGE_TERMS = 400, 14     # images a side, kernel moments each
+
 
 def _bit_reverse_permutation(n):
     bits = n.bit_length() - 1
@@ -118,7 +120,7 @@ def gaussian_reference(alpha, sigma, x):
             * math.exp(-t * t))
 
 
-def periodic_image_tail(x, alpha, length, sigma=1.0, images=400, terms=14):
+def periodic_image_tail(x, alpha, length, sigma=1.0):
     """Far-field contribution of periodic Gaussian images to the operator.
 
     The spectral route on a box of size ``length`` computes the operator of
@@ -130,7 +132,7 @@ def periodic_image_tail(x, alpha, length, sigma=1.0, images=400, terms=14):
 
     evaluated through the even-moment expansion of the kernel about the
     image centre (the field's odd moments vanish; the t-th even moment is
-    sigma^(2t+1) Gamma(t + 1/2)).  Images beyond ``images`` are summed with
+    sigma^(2t+1) Gamma(t + 1/2)).  Images beyond _IMAGES are summed with
     a midpoint integral remainder on the leading moment.  Requires
     length - |x| to comfortably clear the Gaussian support.
     """
@@ -141,10 +143,10 @@ def periodic_image_tail(x, alpha, length, sigma=1.0, images=400, terms=14):
     coef = c_standard(1, alpha)
     if coef == 0.0:
         return 0.0          # local (even integer) regime: no far field
-    j = np.arange(1, images + 1)
+    j = np.arange(1, _IMAGES + 1)
     d = np.abs(np.concatenate([x - j * length, x + j * length]))
     total = 0.0
-    for t in range(terms):
+    for t in range(_IMAGE_TERMS):
         binom = 1.0
         for i in range(2 * t):
             binom *= (-1.0 - alpha - i) / (i + 1.0)
@@ -152,5 +154,5 @@ def periodic_image_tail(x, alpha, length, sigma=1.0, images=400, terms=14):
                   * np.sum(d ** (-1.0 - alpha - 2 * t)))
     s = 1.0 + alpha
     remainder = (2.0 * math.sqrt(math.pi) * sigma * length ** -s
-                 * (images + 0.5) ** (1.0 - s) / (s - 1.0))
+                 * (_IMAGES + 0.5) ** (1.0 - s) / (s - 1.0))
     return coef * (total + remainder)

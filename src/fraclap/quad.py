@@ -24,6 +24,7 @@ class QuadratureError(RuntimeError):
 # relative rounding of a floating-point sum, the floor below which no
 # error estimate of a sum of terms can go
 _ROUND = 50.0 * np.finfo(float).eps
+_TAIL_TERMS = 14        # terms of osc_power_tail's asymptotic series
 
 
 # 15-point Kronrod rule with the embedded 7-point Gauss rule.
@@ -152,13 +153,13 @@ def kernel_moment(q, alpha, eps, cut):
     return _re_rot(q + 1, acc)
 
 
-def osc_power_tail(omega, lo, s, terms=14):
+def osc_power_tail(omega, lo, s):
     """integral_lo^inf cos(omega*xi) xi^(-s) dxi by parts, omega*lo large.
 
     Returns (value, bound) where bound is the magnitude of the first
     dropped term of the asymptotic series.
     """
-    if omega * lo < 4.0 * (s + terms):
+    if omega * lo < 4.0 * (s + _TAIL_TERMS):
         raise ValueError("omega*lo too small for the asymptotic tail")
     total = 0.0
     for sign in (1.0, -1.0):
@@ -167,7 +168,7 @@ def osc_power_tail(omega, lo, s, terms=14):
         coef = 1.0 + 0j
         p = s
         mag = lo ** (-s)
-        for _ in range(terms):
+        for _ in range(_TAIL_TERMS):
             bterm = -coef * cmath.exp(1j * w * lo) * lo ** (-p) / (1j * w)
             val += bterm
             coef *= p / (1j * w)

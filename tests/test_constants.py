@@ -14,10 +14,10 @@ from fraclap.constants import (DomainError, a_delta, c_standard,
                                c_standard_levy, central_diff_power,
                                diff_weights, forward_weights, gamma,
                                norm_constants, sin_half_pi, stencil_moment,
-                               unit_sphere_moment, v_integral,
-                               v_integral_quadrature)
+                               stencil_series, unit_sphere_moment,
+                               v_integral, v_integral_quadrature)
 from fraclap.fields import Gaussian
-from fraclap.lattice import SelfSimilarParams, _small_step_series
+from fraclap.lattice import SelfSimilarParams
 from fraclap.quad import integrate_adaptive
 
 
@@ -120,18 +120,30 @@ class TestStencil:
 
     @pytest.mark.parametrize("stencil,order", STENCILS)
     def test_small_step_series_is_the_difference(self, stencil, order):
-        # at step 0.01 the terms left out are below 1e-13 of the value
-        # even at m = 20; the direct difference cancels 2 digits per
-        # order and up to 12 more for the weights, which mpmath carries
+        # at step 0.01 the lattice's series, orders k to k + 29, is within
+        # 1e-12 of the difference even at m = 20, and a series cut after
+        # order k + 1 leaves out no more than its K z^e; the direct
+        # difference cancels 2 digits per order and up to 12 more for the
+        # weights, which mpmath carries
         mp = pytest.importorskip("mpmath")
         offs, w = stencil
-        x, z = 0.3, 0.01
-        c = _small_step_series(Gaussian(1.0), np.array([x]), offs, w, order)
-        got = z ** order * np.polyval(c[::-1], z).real
+        x, z, u = 0.3, 0.01, Gaussian(1.0)
+
+        def series(stop):
+            return stencil_series(
+                offs, w, range(order, stop),
+                lambda q: float(u.line_deriv(np.array([x]), np.ones(1), q)),
+                u.sup_line_deriv)
+
         with mp.workdps(40 + 2 * order + 12):
             want = mp.fsum(int(wp) * mp.exp(-(mp.mpf(x) + int(p) * mp.mpf(z))
                                             ** 2) for p, wp in zip(offs, w))
-        assert abs(got - float(want)) <= 1e-12 * abs(want)
+            c, _ = series(order + 30)
+            got = sum(cq * z ** q for q, cq in c.items())
+            assert abs(got - float(want)) <= 1e-12 * abs(want)
+            c, bound = series(order + 2)
+            head = mp.fsum(mp.mpf(cq) * mp.mpf(z) ** q for q, cq in c.items())
+            assert abs(head - want) <= bound * z ** (order + 2)
 
 
 class TestOrderCheck:

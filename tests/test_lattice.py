@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from fraclap import lattice
-from fraclap.constants import DomainError, a_delta, gamma
-from fraclap.fields import Gaussian, PlaneWave
+from fraclap.constants import (DomainError, a_delta, diff_weights, gamma,
+                               stencil_series)
+from fraclap.fields import Gaussian, PlaneWave, UserField
 from fraclap.lattice import (SelfSimilarParams, fractional_continuum_limit,
                              selfsim_laplacian, selfsim_series,
                              wm_dispersion, wm_energy_density,
@@ -153,23 +154,38 @@ class TestReducedPhases:
                     Fraction(kh) / 2, Fraction(a), s)
 
 
-def mp_selfsim_laplacian(x, p):
-    """sum_s a^(-delta*s) sum_p (-1)^(p+1) C(2m, m+p) exp(-(x + p a^s)^2)
-    for h = 1 in mpmath, with the digits each difference cancels; levels
-    below s = -300 as the geometric sum of their leading term
-    (-1)^(m+1) u^(2m)(x) a^(2m*s)."""
+def central(m):
+    """{offset: weight} of the order-2m central difference, in integers."""
+    return {j: (-1) ** ((j + 1) % 2) * math.comb(2 * m, m + j)
+            for j in range(-m, m + 1)}
+
+
+def forward(m):
+    """{offset: weight} of the forward difference (D - 1)^m."""
+    return {j: (-1) ** (m - j) * math.comb(m, j) for j in range(m + 1)}
+
+
+def mp_level_sum(x, p, stencil, square):
+    """sum_s a^(-delta*s) d_s for h = 1 in mpmath, d_s the {offset: weight}
+    stencil applied to exp(-x^2) at step a^s, or its square; each level
+    carries the digits its difference cancels, and the levels below
+    s = -300 are the geometric sum of their leading term
+    M_k u^(k)(x) a^(ks) / k!, k the stencil's order."""
     mp = pytest.importorskip("mpmath")
-    m, a, d = p.m, mp.mpf(p.a), mp.mpf(p.delta)
-    xx, total = mp.mpf(x), mp.mpf(0)
+    a, d, xx = mp.mpf(p.a), mp.mpf(p.delta), mp.mpf(x)
+    power = 2 if square else 1
+    k = next(q for q in range(len(stencil))
+             if sum(wj * j ** q for j, wj in stencil.items()))
+    total = mp.mpf(0)
     for s in range(-300, 90):
-        with mp.workdps(30 + max(0, int(-2 * m * s * math.log10(p.a)))):
-            diff = sum((-1) ** (j + 1) * math.comb(2 * m, m + j)
-                       * mp.exp(-(xx + j * a ** s) ** 2)
-                       for j in range(-m, m + 1))
-            total += a ** (-d * s) * diff
-    r = a ** (2 * m - d)
-    total += ((-1) ** (m + 1) * mp.diff(lambda t: mp.exp(-t * t), xx, 2 * m)
-              * r ** -301 / (1 - 1 / r))
+        with mp.workdps(30 + max(0, int(-k * s * math.log10(p.a)))):
+            diff = sum(wj * mp.exp(-(xx + j * a ** s) ** 2)
+                       for j, wj in stencil.items())
+            total += a ** (-d * s) * diff ** power
+    lead = (sum(wj * j ** k for j, wj in stencil.items())
+            * mp.diff(lambda t: mp.exp(-t * t), xx, k) / mp.factorial(k))
+    r = a ** (power * k - d)
+    total += lead ** power * r ** -301 / (1 - 1 / r)
     return float(total)
 
 
@@ -182,8 +198,58 @@ class TestSelfsimLaplacian:
         # too short (two terms gave 5e-4 here at m = 3) shows
         p = SelfSimilarParams(delta=d, a=a, m=m, tol=tol)
         got = selfsim_laplacian(Gaussian(1.0), np.array([0.3]), p)
-        want = mp_selfsim_laplacian(0.3, p)
+        want = mp_level_sum(0.3, p, central(m), False)
         assert abs(got - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("m,rel", [(4, 1e-12), (5, 1e-12), (6, 1e-10)])
+    def test_large_m(self, m, rel):
+        # the series runs to order 2m + 29 and takes the levels where what
+        # it leaves out is below the direct difference's rounding; with a
+        # fixed 14 orders these were 3e-11 to 2e-9 off, and moving the
+        # switch up one level gives 2e-10 to 4e-5
+        p = SelfSimilarParams(delta=2 * m - 0.5, a=1.6, m=m, tol=1e-12)
+        got = selfsim_laplacian(Gaussian(1.0), np.array([0.3]), p)
+        want = mp_level_sum(0.3, p, central(m), False)
+        assert abs(got - want) <= rel * abs(want)
+
+    def test_series_takes_the_levels_under_the_rounding(self):
+        # the lowest direct difference is at the first step z where the
+        # series leaves out K z^e >= eps sum|w| max(|u(x)|, 1); one level
+        # down K (z/a)^e is below it, strictly
+        steps = []
+
+        class Recorded(Gaussian):
+            def on_ray(self, x, d, r):
+                steps.append(float(np.max(r)))
+                return super().on_ray(x, d, r)
+
+        m, x = 6, np.array([0.3])
+        p = SelfSimilarParams(delta=11.5, a=1.6, m=m, tol=1e-12)
+        u = Recorded(1.0)
+        selfsim_laplacian(u, x, p)
+        offs, w = diff_weights(m)
+        _, bound = stencil_series(
+            offs, w, range(2 * m, 2 * m + 30),
+            lambda q: complex(u.line_deriv(x, np.ones(1), q)),
+            u.sup_line_deriv)
+        rounding = np.finfo(float).eps * 4 ** m * max(abs(u(x)), 1.0)
+        z = min(steps) / m
+        assert bound * z ** (2 * m + 30) >= rounding
+        assert bound * (z / p.a) ** (2 * m + 30) < rounding
+
+    def test_user_field(self):
+        # differenced even derivatives up to order 6: the series at m = 3
+        # is its order-6 term alone, with the remainder at order 7; at
+        # m = 4 the series needs order 8
+        fn = lambda pts: np.exp(-np.sum(np.atleast_2d(pts) ** 2, axis=-1))
+        g, x = Gaussian(1.0), np.array([0.3])
+        user = UserField(fn, decay_radius=8.0, deriv_bound=g.sup_line_deriv)
+        p = SelfSimilarParams(delta=1.5, a=1.6, m=3, tol=1e-12)
+        assert selfsim_laplacian(user, x, p) == pytest.approx(
+            selfsim_laplacian(g, x, p), abs=1e-8)
+        with pytest.raises(NotImplementedError):
+            selfsim_laplacian(user, x, SelfSimilarParams(
+                delta=1.5, a=1.6, m=4, tol=1e-12))
 
     def test_plane_wave_eigenvalue(self):
         p = SelfSimilarParams(delta=0.6, a=1.9, m=1)
@@ -225,24 +291,6 @@ class TestSelfsimLaplacian:
         assert selfsim_laplacian(u, x, p) == pytest.approx(direct, abs=1e-10)
 
 
-def mp_energy_density(x, p):
-    """(1/2) sum_s a^(-delta*s) [(D(a^s) - 1)^m exp(-x^2)]^2 for h = 1 in
-    mpmath, with the digits each difference cancels; levels below s = -300
-    (steps under 1e-50) as the geometric sum of their leading term."""
-    mp = pytest.importorskip("mpmath")
-    m, a, d = p.m, mp.mpf(p.a), mp.mpf(p.delta)
-    xx, total = mp.mpf(x), mp.mpf(0)
-    for s in range(-300, 90):
-        with mp.workdps(30 + max(0, int(-m * s * math.log10(p.a)))):
-            diff = sum((-1) ** (m - j) * math.comb(m, j)
-                       * mp.exp(-(xx + j * a ** s) ** 2) for j in range(m + 1))
-            total += a ** (-d * s) * diff ** 2
-    r = a ** (2 * m - d)
-    total += (mp.diff(lambda t: mp.exp(-t * t), xx, m) ** 2
-              * r ** -301 / (1 - 1 / r))
-    return float(total / 2)
-
-
 class TestWmEnergyDensity:
     @pytest.mark.parametrize("d,a,m,tol", [(5.75, 1.541, 3, 1e-10),
                                            (3.9, 1.541, 2, 1e-12)])
@@ -252,7 +300,7 @@ class TestWmEnergyDensity:
         # from cancellation noise, and the weight from the log form
         p = SelfSimilarParams(delta=d, a=a, m=m, tol=tol)
         got = wm_energy_density(Gaussian(1.0), np.array([0.3]), p)
-        want = mp_energy_density(0.3, p)
+        want = 0.5 * mp_level_sum(0.3, p, forward(m), True)
         assert abs(got - want) <= 1e-10 * abs(want)
 
     def test_against_direct_sum(self):
