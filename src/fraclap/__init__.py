@@ -7,8 +7,7 @@ from .constants import (DomainError, a_delta, c_standard, c_standard_levy,
 from .fields import Field, Gaussian, PlaneWave, UserField
 from .flcore import (FLResult, fl_eigenvalue, fl_order_m, fl_regularized,
                      fl_standard)
-from .lattice import (SelfSimilarParams, fractional_continuum_limit,
-                      selfsim_laplacian, selfsim_series, wm_dispersion,
+from .lattice import (SelfSimilarParams, selfsim_laplacian, wm_dispersion,
                       wm_energy_density, wm_limit_amplitude)
 from .oracle import GridField, dft_fl, fft, gaussian_reference
 from .potentials import (StiffnessMatrix, induced_difference_matrix,

@@ -6,7 +6,7 @@ Output is CSV (header row, LF endings, shortest round-trip floats) or a
 plain aligned table.  An optional ``key = value`` config file supplies
 defaults; explicit flags win.  Exit codes: 0 ok, 1 self-test failure,
 2 domain or usage error, 3 numerical failure (a quadrature that does
-not meet its tolerance).
+not meet its tolerance, or a result that is not finite).
 """
 
 import argparse
@@ -415,14 +415,15 @@ def build_parser():
 
 
 def _check_numbers(args):
-    """Reject a bad --tol, --alpha or --delta before any work starts."""
-    tol = getattr(args, "tol", None)
-    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError("--tol must be finite and positive, got %r" % tol)
-    for key in ("alpha", "delta"):
-        val = getattr(args, key, None)
-        if val is not None and not math.isfinite(val):
-            raise DomainError("--%s must be finite, got %r" % (key, val))
+    """Reject a non-finite number, --tol <= 0 or --a-factor <= 1."""
+    for key, val in vars(args).items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise DomainError("--%s must be finite, got %r"
+                              % (key.replace("_", "-"), val))
+    if getattr(args, "tol", 1.0) <= 0.0:
+        raise DomainError("--tol must be positive, got %r" % args.tol)
+    if getattr(args, "a_factor", 2.0) <= 1.0:
+        raise DomainError("--a-factor must exceed 1, got %r" % args.a_factor)
 
 
 def main(argv=None):

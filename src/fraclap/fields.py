@@ -109,8 +109,9 @@ class Gaussian(Field):
     """
 
     def __init__(self, sigma=1.0, center=0.0, n=1):
-        if sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        if not (sigma > 0.0 and 0.0 < sigma * sigma < math.inf):
+            raise ValueError("sigma must be > 0 with 0 < sigma^2 < inf, got %r"
+                             % sigma)
         self.sigma = float(sigma)
         c = np.atleast_1d(np.asarray(center, dtype=float))
         if c.size == 1 and n > 1:
@@ -126,14 +127,14 @@ class Gaussian(Field):
     def line_deriv(self, x, direction, order):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         d = np.atleast_1d(np.asarray(direction, dtype=float))
-        # d^q/ds^q u(x + s d) at 0 is u(x) (-1/sigma)^q H_q(d.(x-c)/sigma)
+        # u(x) (-1/sigma)^q H_q(d.(x-c)/sigma); float64 powers overflow to inf
         w = x - self.center
         t = d @ w / self.sigma
-        return ((-1.0 / self.sigma) ** order * hermite_poly(order, t)
+        return (np.float64(-1.0 / self.sigma) ** order * hermite_poly(order, t)
                 * math.exp(-float(w @ w) / self.sigma ** 2))
 
     def sup_line_deriv(self, order):
-        return _hermite_gauss_sup(order) / self.sigma ** order
+        return _hermite_gauss_sup(order) / np.float64(self.sigma) ** order
 
     def laplacian_power(self, x, p):
         # product of 1-d Gaussians: expand (sum_i d^2/dy_i^2)^p by the

@@ -28,7 +28,7 @@ from .constants import (DomainError, c_standard_levy, cos_moment, gamma,
                         norm_constants, radial_stencil, sin_half_pi,
                         stencil_series, unit_sphere_moment)
 from .fields import PlaneWave
-from .quad import finite_part
+from .quad import QuadratureError, finite_part
 
 
 @dataclass
@@ -101,15 +101,15 @@ def _radial_singular(u, x, alpha, m, qmax, tol, dirs, wts):
 
 
 def _angular_loop(compute, n, tol):
-    """Evaluate compute(dirs, wts) -> (value, radial error) on refining
+    """Evaluate compute(dirs, wts, tol) -> (value, radial error) on refining
     sphere rules until stable.  Returns the last value, its change from
     the rule before, and the radial error of that value."""
     if n == 1:
-        val, err = compute(*sphere_rule(1))
+        val, err = compute(*sphere_rule(1), tol)
         return val, 0.0, err
     prev = None
     for level in range(5):
-        val, err = compute(*sphere_rule(n, level))
+        val, err = compute(*sphere_rule(n, level), tol)
         change = math.inf if prev is None else abs(val - prev)
         if change < 0.5 * tol:
             return val, change, err
@@ -135,18 +135,22 @@ def _operator(u, x, alpha, coef, label, tol, radial, m):
     k^alpha u(x) times _plane_wave_factor at min(tol, 1e-12).  Any other
     field runs the angular loop over radial(dirs, wts, rtol) -> (value,
     error), where rtol = tol / max(|coef|, 1e-3) serves the radial
-    integral, its decay radius and the loop alike."""
+    integral, its decay radius and the loop alike.  A value that is not
+    finite (a field past the doubles) raises QuadratureError."""
     n = u.n
     if isinstance(u, PlaneWave):
         amp = coef * unit_sphere_moment(n, alpha) * u.wavenumber ** alpha
         f, ferr = _plane_wave_factor(m, alpha, min(tol, 1e-12))
         u0 = u(np.atleast_1d(np.asarray(x, dtype=float)))
-        return FLResult(amp * f * u0, abs(amp) * ferr, label, alpha, n,
-                        m or None)
-    rtol = tol / max(abs(coef), 1e-3)
-    val, aerr, rerr = _angular_loop(lambda d, w: radial(d, w, rtol), n, rtol)
-    return FLResult(coef * val, abs(coef) * (aerr + rtol + rerr), label,
-                    alpha, n, m or None)
+        value, error = amp * f * u0, abs(amp) * ferr
+    else:
+        rtol = tol / max(abs(coef), 1e-3)
+        with np.errstate(all="ignore"):     # a non-finite value is refused
+            val, aerr, rerr = _angular_loop(radial, n, rtol)
+        value, error = coef * val, abs(coef) * (aerr + rtol + rerr)
+    if not np.isfinite(value):
+        raise QuadratureError("the %s form's value is not finite" % label)
+    return FLResult(value, error, label, alpha, n, m or None)
 
 
 def _difference(u, x, alpha, m, coef, label, tol):

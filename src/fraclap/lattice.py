@@ -7,6 +7,7 @@ stencil's small-step series and sum in closed form; the dispersion cuts
 that tail too, by sin x <= x.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -15,7 +16,6 @@ import numpy as np
 from .constants import (DomainError, check_order, diff_weights,
                         forward_weights, stencil_moment, stencil_series,
                         v_integral)
-from .quad import integrate_adaptive
 
 # the most levels one sum may take; the count grows like 1/ln a as a -> 1
 _MAX_LEVELS = 10 ** 6
@@ -133,6 +133,22 @@ def wm_dispersion(kh, p):
     return float(4.0 ** m * np.sum(terms))
 
 
+def _series(u, x, offs, w, orders):
+    """stencil_series of (offs, w) for u at x; DomainError where a line
+    derivative or the remainder bound it needs overflows a double."""
+    def deriv(q):
+        return complex(u.line_deriv(x, np.ones(1), q))
+
+    with np.errstate(all="ignore"):     # a non-finite value is refused
+        c, rem = stencil_series(offs, w, orders, deriv, u.sup_line_deriv)
+        if all(map(cmath.isfinite, c.values())) and rem < math.inf:
+            return c, rem
+        reach = next((q for q in range(orders.stop) if not (cmath.isfinite(
+            deriv(q)) and u.sup_line_deriv(q) < math.inf)), orders.stop) - 1
+    raise DomainError("the series needs line derivatives through order %d, "
+                      "finite only through order %d" % (orders.stop, reach))
+
+
 def _level_sum(u, x, p, offs, w, square):
     """sum_s a^(-delta*s) d_s, with d_s the stencil (offs, w) applied to u
     at x with step h a^s, or the square of its real part.
@@ -147,8 +163,7 @@ def _level_sum(u, x, p, offs, w, square):
     la, w_sum = math.log(p.a), float(np.sum(np.abs(w)))
     sup_u = max(abs(u(np.atleast_1d(np.asarray(x, dtype=float)))), 1.0)
     e = min(k + 30, max(k, u.max_line_deriv) + 1)
-    c, rem = stencil_series(offs, w, range(k, e), lambda q: complex(
-        u.line_deriv(x, np.ones(1), q)), u.sup_line_deriv)
+    c, rem = _series(u, x, offs, w, range(k, e))
     qs, cq = np.array(list(c), dtype=float), np.array(list(c.values()))
     # the top series level: rem step^e under the rounding, step^q finite
     rnd, lh = np.finfo(float).eps * w_sum * sup_u, math.log(p.h)
@@ -181,52 +196,6 @@ def wm_energy_density(u, x, p, f_m=1.0):
     Scales as a^delta under h -> a*h; admissible for 0 < delta < 2m.
     """
     return 0.5 * f_m * _level_sum(u, x, p, *forward_weights(p.m), True)
-
-
-def selfsim_series(f, delta, a, h=1.0, tol=1e-12):
-    """Direct level sum Lambda_a = sum_s a^(-delta*s) f(a^s h).
-
-    f must vanish like a power > delta at 0 and stay bounded; both tails
-    are cut when three consecutive terms fall below tol scaled by the
-    geometric remainder factor.  A non-finite term, or a tail longer than
-    the level budget, raises DomainError.
-    """
-    if a <= 1.0:
-        raise DomainError("dilation a must exceed 1")
-    total = 0.0
-    for s0, step, ratio in ((0, 1, a ** (-delta)), (-1, -1, 1.0 / a)):
-        guard, quiet = tol * (1.0 - min(ratio, 0.99)), 0
-        for s in range(s0, s0 + step * _MAX_LEVELS, step):
-            try:
-                term = a ** (-delta * s) * float(f(a ** s * h))
-            except OverflowError:
-                term = math.inf
-            if not math.isfinite(term):
-                raise DomainError("level sum diverges at level %d; check "
-                                  "admissibility" % s)
-            total += term
-            quiet = quiet + 1 if abs(term) < guard else 0
-            if quiet >= 3:
-                break
-        else:
-            raise DomainError("level sum did not converge in %d levels; "
-                              "check admissibility" % _MAX_LEVELS)
-    return total
-
-
-def fractional_continuum_limit(f, delta, h=1.0, tol=1e-10):
-    """h^delta integral_0^inf f(tau) tau^(-delta-1) dtau.
-
-    This is the a -> 1 limit of |ln a| * Lambda_a.  f must vanish faster
-    than tau^delta at the origin and decay at infinity.
-    """
-    if not delta > 0.0:
-        raise DomainError("delta must be positive")
-    if h <= 0.0:
-        raise DomainError("h must be positive")
-    body, _ = integrate_adaptive(lambda t: f(t) * t ** (-delta - 1.0),
-                                 0.0, math.inf, tol=0.5 * tol, points=[1.0])
-    return h ** delta * body
 
 
 def wm_limit_amplitude(p, kh=1.0, tol=1e-10):

@@ -31,24 +31,6 @@ class StiffnessMatrix:
     def size(self):
         return self.generators.size
 
-    @classmethod
-    def from_csv(cls, path):
-        """First data row of the file holds the generators V_0..V_(M-1)."""
-        with open(path, "r", encoding="ascii") as fh:
-            rows = [line.strip() for line in fh if line.strip()
-                    and not line.lstrip().startswith("#")]
-        if not rows:
-            raise DomainError("empty stiffness file")
-        start = 0
-        try:
-            float(rows[0].split(",")[0])
-        except ValueError:
-            start = 1       # header row
-        if start >= len(rows):
-            raise DomainError("stiffness file has a header but no data")
-        vals = [float(tok) for tok in rows[start].split(",")]
-        return cls(vals)
-
 
 @dataclass
 class ValidationReport:

@@ -62,23 +62,12 @@ def _panel(f, a, b):
 
 
 def integrate_adaptive(f, lo, hi, tol=1e-10, limit=20000, points=()):
-    """Integrate a vectorized callable on (lo, hi), hi may be math.inf.
+    """Integrate a vectorized callable on the finite range (lo, hi).
 
     Bisects the panel with the largest Kronrod-Gauss error estimate until
-    the summed estimate drops below tol (absolute).  Returns (value, err).
-    An infinite upper limit is folded to (0, 1) with t -> lo + t/(1-t).
-    """
-    if math.isinf(hi):
-        base = lo
-
-        def g(t):
-            t = np.asarray(t)
-            return f(base + t / (1.0 - t)) / (1.0 - t) ** 2
-
-        mapped = sorted(set((p - base) / (1.0 + (p - base)) for p in points))
-        return integrate_adaptive(g, 0.0, 1.0, tol=tol, limit=limit,
-                                  points=mapped)
-
+    the summed estimate drops below tol (absolute).  Returns (value, err)."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("need finite limits, got (%r, %r)" % (lo, hi))
     cuts = [lo] + sorted(p for p in points if lo < p < hi) + [hi]
     panels = []
     for a, b in zip(cuts[:-1], cuts[1:]):

@@ -260,12 +260,27 @@ class TestInputValidation:
         ("constants", "--alpha=-inf"),
         ("dispersion", "--delta", "nan"),
         ("converge", "--delta", "inf"),
+        ("converge", "--delta", "1", "--a-factor", "0"),
+        ("converge", "--delta", "1", "--a-factor", "1"),
+        ("dispersion", "--delta", "1", "--kh-max", "inf"),
+        ("dispersion", "--delta", "1", "--kh-min", "nan"),
+        ("converge", "--delta", "1", "--kh", "nan"),
+        ("apply", "--alpha", "1", "--field", "planewave", "--k", "inf"),
+        ("apply", "--alpha", "1", "--x-min", "nan"),
     ])
     def test_rejected_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: --") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e300"])
+    def test_sigma_whose_square_is_not_finite(self, capsys, sigma):
+        code, out, err = run(capsys, "apply", "--alpha", "1", "--sigma",
+                             sigma)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: sigma") and err.count("\n") == 1
 
     def test_config_tol_checked_too(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -286,6 +301,16 @@ class TestNumericalFailure:
         assert code == 3
         assert out == ""
         assert err == "error: numerical failure: %s\n" % exc
+
+    def test_non_finite_value(self, capsys):
+        # sigma = 1e-12: the line derivatives overflow at x = -2, so the
+        # value is nan; it fails instead of printing
+        code, out, err = run(capsys, "apply", "--alpha", "1", "--sigma",
+                             "1e-12")
+        assert code == 3
+        assert out == ""
+        assert err.endswith("regularized form's value is not finite\n")
+        assert err.count("error:") == 1 and "Traceback" not in err
 
 
 class TestOutputAndConfig:

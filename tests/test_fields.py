@@ -53,6 +53,13 @@ class TestPlaneWave:
 
 
 class TestGaussian:
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf,
+                                       1e-300, 1e300])
+    def test_rejects_sigma_whose_square_is_not_finite(self, sigma):
+        # sigma^2 divides every value; 1e-300 and 1e300 square to 0 and inf
+        with pytest.raises(ValueError, match="sigma"):
+            Gaussian(sigma)
+
     def test_call_shift(self):
         u = Gaussian(2.0, center=np.array([1.0]), n=1)
         assert u(np.array([1.0])) == pytest.approx(1.0)

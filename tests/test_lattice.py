@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from fraclap import lattice
-from fraclap.constants import (DomainError, a_delta, diff_weights, gamma,
+from fraclap.constants import (DomainError, a_delta, diff_weights,
                                stencil_series)
 from fraclap.fields import Gaussian, PlaneWave, UserField
-from fraclap.lattice import (SelfSimilarParams, fractional_continuum_limit,
-                             selfsim_laplacian, selfsim_series,
+from fraclap.lattice import (SelfSimilarParams, selfsim_laplacian,
                              wm_dispersion, wm_energy_density,
                              wm_limit_amplitude)
 
@@ -273,6 +272,25 @@ class TestSelfsimLaplacian:
         assert math.isfinite(selfsim_laplacian(Gaussian(1.0),
                                                np.array([0.3]), p))
 
+    @pytest.mark.parametrize("sigma,reach", [(1e-2, None), (1e-4, 63),
+                                             (1e-6, 45)])
+    def test_narrow_field_at_m20(self, sigma, reach):
+        # u_sigma(x + p h) = u_1((x + p h)/sigma), so the sum for
+        # Gaussian(sigma) at (x, h) is the one for Gaussian(1) at
+        # (x/sigma, h/sigma); where the series' line derivatives (through
+        # order 70) overflow a double, DomainError names their reach
+        kw = dict(delta=39.5, a=1.6, m=20, tol=1e-10)
+        x = np.array([0.3 * sigma])
+        if reach is not None:
+            with pytest.raises(DomainError, match="only through order %d$"
+                               % reach):
+                selfsim_laplacian(Gaussian(sigma), x, SelfSimilarParams(**kw))
+            return
+        ref = selfsim_laplacian(Gaussian(1.0), np.array([0.3]),
+                                SelfSimilarParams(h=1.0 / sigma, **kw))
+        got = selfsim_laplacian(Gaussian(sigma), x, SelfSimilarParams(**kw))
+        assert got == pytest.approx(ref, rel=1e-9)
+
     def test_gaussian_against_direct_sum(self):
         # high-precision reference: naive float summation loses the deep
         # negative levels to cancellation
@@ -324,33 +342,6 @@ class TestWmEnergyDensity:
         e1 = wm_energy_density(u, x, p1)
         e2 = wm_energy_density(u, x, p2)
         assert e2 == pytest.approx(1.5 ** 0.7 * e1, rel=1e-9)
-
-
-class TestSelfsimSeries:
-    def test_matches_dispersion(self):
-        p = SelfSimilarParams(delta=0.6, a=1.9, m=1)
-        kh = 0.7
-        got = selfsim_series(lambda t: 4.0 * math.sin(0.5 * kh * t) ** 2,
-                             0.6, 1.9)
-        assert got == pytest.approx(wm_dispersion(kh, p), abs=1e-9)
-
-    def test_rejects_divergent_profile(self):
-        # profile without decay at 0 makes the negative tail diverge
-        with pytest.raises(DomainError):
-            selfsim_series(lambda t: 1.0, 0.5, 1.5)
-
-
-class TestContinuumLimit:
-    def test_gamma_integral(self):
-        # f = t^2 exp(-t): integral_0^inf t^(1-d) e^-t dt = Gamma(2-d)
-        d, h = 0.7, 2.0
-        got = fractional_continuum_limit(
-            lambda t: t ** 2 * np.exp(-t), d, h=h)
-        assert got == pytest.approx(h ** d * gamma(2.0 - d), rel=1e-9)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            fractional_continuum_limit(lambda t: t, 0.0)
 
 
 class TestWmLimitAmplitude:

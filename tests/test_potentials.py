@@ -32,28 +32,6 @@ class TestStiffnessMatrix:
         with pytest.raises(DomainError):
             StiffnessMatrix([1.0])
 
-    def test_from_csv_with_header(self, tmp_path):
-        p = tmp_path / "v.csv"
-        p.write_text("g0,g1,g2\n2.0,-1.0,0.5\n")
-        v = StiffnessMatrix.from_csv(p)
-        assert np.array_equal(v.generators, [2.0, -1.0, 0.5])
-
-    def test_from_csv_headerless_with_comments(self, tmp_path):
-        p = tmp_path / "v.csv"
-        p.write_text("# spring constants\n1.0,-1.0\n")
-        v = StiffnessMatrix.from_csv(p)
-        assert np.array_equal(v.generators, [1.0, -1.0])
-
-    def test_from_csv_errors(self, tmp_path):
-        empty = tmp_path / "e.csv"
-        empty.write_text("# nothing\n")
-        with pytest.raises(DomainError):
-            StiffnessMatrix.from_csv(empty)
-        bare = tmp_path / "h.csv"
-        bare.write_text("g0,g1\n")
-        with pytest.raises(DomainError):
-            StiffnessMatrix.from_csv(bare)
-
 
 class TestValidate:
     def test_nearest_neighbour_valid(self):

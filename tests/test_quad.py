@@ -57,10 +57,19 @@ class TestIntegrateAdaptive:
         assert val == pytest.approx(2.0, abs=1e-12)
         assert err < 1e-10
 
-    def test_gaussian_halfline(self):
-        val, _ = integrate_adaptive(lambda t: np.exp(-t * t), 0.0, math.inf,
-                                    tol=1e-12)
-        assert val == pytest.approx(0.5 * math.sqrt(math.pi), abs=1e-12)
+    def test_rejects_infinite_limits(self):
+        # an infinite limit gives NaN panels that bisect to the panel
+        # budget; it is refused before the integrand is evaluated
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return np.exp(-t * t)
+
+        for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                integrate_adaptive(f, lo, hi)
+        assert calls == []
 
     def test_split_points_help_with_kinks(self):
         f = lambda t: np.abs(t - 0.5) ** 0.5
