@@ -5,8 +5,8 @@ from .constants import (DomainError, a_delta, c_standard, c_standard_levy,
                         norm_constants, sin_half_pi, unit_sphere_moment,
                         v_integral, v_integral_quadrature)
 from .fields import Field, Gaussian, PlaneWave, UserField
-from .flcore import (FLResult, fl_eigenvalue, fl_order_m, fl_regularized,
-                     fl_standard)
+from .flcore import (FLResult, fl_apply, fl_eigenvalue, fl_order_m,
+                     fl_regularized, fl_standard)
 from .lattice import (SelfSimilarParams, selfsim_laplacian, wm_dispersion,
                       wm_energy_density, wm_limit_amplitude)
 from .oracle import GridField, dft_fl, fft, gaussian_reference

@@ -18,7 +18,7 @@ import numpy as np
 from . import constants
 from .constants import DomainError, a_delta, norm_constants
 from .fields import Gaussian, PlaneWave
-from .flcore import fl_eigenvalue, fl_order_m, fl_regularized, fl_standard
+from .flcore import REPRESENTATIONS, fl_apply, fl_eigenvalue, fl_regularized
 from .lattice import (SelfSimilarParams, wm_dispersion, wm_limit_amplitude)
 from .oracle import GridField, dft_fl, fft, periodic_image_tail
 from .potentials import ring_potential, scaling_factor, validate_stiffness
@@ -137,7 +137,6 @@ def _make_field(args):
 def cmd_apply(args):
     u = _make_field(args)
     xs = np.linspace(args.x_min, args.x_max, args.samples)
-    rep = args.rep
 
     oracle_vals = None
     if (args.field == "gaussian" and args.n == 1
@@ -168,14 +167,7 @@ def cmd_apply(args):
     for i, x in enumerate(xs):
         pt = np.zeros(args.n)
         pt[0] = x
-        if rep == "standard":
-            res = fl_standard(u, pt, args.alpha, tol=args.tol)
-        elif rep == "order_m":
-            res = fl_order_m(u, pt, args.alpha, args.m, tol=args.tol)
-        elif rep == "regularized":
-            res = fl_regularized(u, pt, args.alpha, tol=args.tol)
-        else:
-            raise DomainError("unknown representation %r" % rep)
+        res = fl_apply(args.rep, u, pt, args.alpha, args.m, args.tol)
         row = [float(x), float(np.real(res.value))]
         if oracle_vals is not None:
             if oracle_vals[i] is None:
@@ -370,8 +362,7 @@ def build_parser():
                    default="gaussian")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--rep", choices=("standard", "order_m", "regularized"),
-                   default="regularized")
+    p.add_argument("--rep", choices=REPRESENTATIONS, default="regularized")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--m", type=int, default=1)
@@ -384,8 +375,7 @@ def build_parser():
     p.set_defaults(run=cmd_apply, required=("alpha",))
 
     p = sub.add_parser("eig", help="plane-wave eigenvalue sweep")
-    p.add_argument("--rep", choices=("standard", "order_m", "regularized"),
-                   default="regularized")
+    p.add_argument("--rep", choices=REPRESENTATIONS, default="regularized")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--m", type=int, default=1)

@@ -76,7 +76,7 @@ class PlaneWave(Field):
         k = np.atleast_1d(np.asarray(k, dtype=float))
         self.k = k
         self.n = k.size
-        self.wavenumber = float(np.linalg.norm(k))
+        self.wavenumber = math.hypot(*k)    # no overflow before |k| does
         if self.wavenumber <= 0.0:
             raise ValueError("plane wave needs a nonzero wavevector")
 

@@ -8,13 +8,16 @@ Three interchangeable routes to -(-Delta)^(alpha/2):
   * fl_regularized - the eps-regularized form, valid for every alpha >= 0
     and collapsing to (-1)^(p+1) Delta^p at alpha = 2p.
 
-All of them run through one driver (_operator), which integrates the
-angular average first and the radial variable second under one tolerance
-rule.  Plane waves take the analytic angular reduction through the
-unit-sphere moment.  Their k-independent radial factor is one cosine
-finite part for every form (constants.cos_moment, cached per form and
-alpha) and is still computed by genuine quadrature, so cross-checks
-against -|k|^alpha stay meaningful.
+fl_apply dispatches on their names (REPRESENTATIONS).  All of them run
+through one driver (_operator), which takes the form's constant and its
+stencil order m (0: the field itself, times the lead -sin(pi alpha/2)
+that _lead applies) and integrates the angular average first and the
+radial variable second under one tolerance rule.  Plane waves take the
+analytic angular reduction through the unit-sphere moment.  Their
+k-independent radial factor is one cosine finite part for every form
+(constants.cos_moment, cached per form and alpha) and is still computed
+by genuine quadrature, so cross-checks against -|k|^alpha stay
+meaningful.
 """
 
 import functools
@@ -66,15 +69,17 @@ def sphere_rule(n, level=0):
     raise DomainError("n must be 1, 2 or 3")
 
 
-def _taylor_order(u):
-    """The small-radius series' last order: 14, or max_line_deriv if less."""
-    return min(14, u.max_line_deriv)
+def _lead(m, alpha):
+    """The kernel's lead: 1 for a difference (m >= 1); for the field itself
+    (m = 0) the regularized kernel's eps -> 0+ limit, -sin(pi alpha/2)."""
+    return 1.0 if m else -sin_half_pi(alpha)
 
 
 def _radial_singular(u, x, alpha, m, qmax, tol, dirs, wts):
     """integral over directions and radii of Delta_2m(r nhat) u(x)
     r^(-1-alpha), for a decaying field; m = 0 takes u(x + r nhat) itself,
-    the profile of the regularized form.  Returns (value, err)."""
+    the profile of the regularized form; the result carries _lead(m,
+    alpha).  Returns (value, err)."""
     offs, w = radial_stencil(m)
     omega_tot = float(np.sum(wts))
 
@@ -97,21 +102,23 @@ def _radial_singular(u, x, alpha, m, qmax, tol, dirs, wts):
     val, err = finite_part(profile, alpha, taylor, (k, qmax + 2 - alpha),
                            tol, big, min(getattr(u, "sigma", 1.0), 1.0),
                            [(w0 * deriv(0), 0.0)] if w0 else [], [1.0])
-    return val, err + omega_tot * 4.0 ** m * tiny * big ** (-alpha) / alpha
+    lead = _lead(m, alpha)
+    return lead * val, abs(lead) * (
+        err + omega_tot * 4.0 ** m * tiny * big ** (-alpha) / alpha)
 
 
 def _angular_loop(compute, n, tol):
-    """Evaluate compute(dirs, wts, tol) -> (value, radial error) on refining
+    """Evaluate compute(tol, dirs, wts) -> (value, radial error) on refining
     sphere rules until stable.  Returns the last value, its change from
     the rule before, and the radial error of that value."""
     if n == 1:
-        val, err = compute(*sphere_rule(1), tol)
+        val, err = compute(tol, *sphere_rule(1))
         return val, 0.0, err
     prev = None
     for level in range(5):
-        val, err = compute(*sphere_rule(n, level), tol)
+        val, err = compute(tol, *sphere_rule(n, level))
         change = math.inf if prev is None else abs(val - prev)
-        if change < 0.5 * tol:
+        if change < 0.5 * tol or not math.isfinite(val):  # NaN never settles
             return val, change, err
         prev = val
     warnings.warn("angular quadrature did not stabilize; returning anyway")
@@ -121,44 +128,41 @@ def _angular_loop(compute, n, tol):
 @functools.lru_cache(maxsize=64)
 def _plane_wave_factor(m, alpha, tol):
     """The k-independent radial factor of a plane wave, (F, error): the
-    cosine finite part of radial_stencil(m), times the regularized
-    kernel's lead -sin(pi alpha/2) for m = 0.  A sweep over k reuses it."""
+    cosine finite part of radial_stencil(m) times _lead(m, alpha).  A
+    sweep over k reuses it."""
     f, err = cos_moment(m, alpha, tol)
-    lead = 1.0 if m else -sin_half_pi(alpha)
+    lead = _lead(m, alpha)
     return lead * f, abs(lead) * err
 
 
-def _operator(u, x, alpha, coef, label, tol, radial, m):
-    """coef times a radial integral of u at x, the one path of all three
-    forms; m is the stencil order of the profile, 0 for the field itself.
-    A plane wave takes the analytic angular reduction: coef U(n, alpha)
-    k^alpha u(x) times _plane_wave_factor at min(tol, 1e-12).  Any other
-    field runs the angular loop over radial(dirs, wts, rtol) -> (value,
-    error), where rtol = tol / max(|coef|, 1e-3) serves the radial
-    integral, its decay radius and the loop alike.  A value that is not
-    finite (a field past the doubles) raises QuadratureError."""
+def _operator(u, x, alpha, m, coef, label, tol):
+    """coef times the radial integral of the order-2m stencil of u at x
+    (m = 0: u itself), the one path of all three forms.  A plane wave
+    takes the analytic angular reduction, coef U(n, alpha) k^alpha u(x)
+    times _plane_wave_factor.  Any other field runs the angular loop over
+    _radial_singular, its series to order min(14, max_line_deriv), with
+    rtol = tol / max(|coef|, 1e-3) for the radial integral, its decay
+    radius and the loop.  A non-finite value raises QuadratureError."""
     n = u.n
-    if isinstance(u, PlaneWave):
-        amp = coef * unit_sphere_moment(n, alpha) * u.wavenumber ** alpha
-        f, ferr = _plane_wave_factor(m, alpha, min(tol, 1e-12))
-        u0 = u(np.atleast_1d(np.asarray(x, dtype=float)))
-        value, error = amp * f * u0, abs(amp) * ferr
-    else:
-        rtol = tol / max(abs(coef), 1e-3)
-        with np.errstate(all="ignore"):     # a non-finite value is refused
+    with np.errstate(all="ignore"):     # a non-finite value is refused
+        if isinstance(u, PlaneWave):
+            amp = (coef * unit_sphere_moment(n, alpha)
+                   * np.float64(u.wavenumber) ** alpha)
+            f, ferr = _plane_wave_factor(m, alpha, min(tol, 1e-12))
+            u0 = u(np.atleast_1d(np.asarray(x, dtype=float)))
+            value, error = amp * f * u0, abs(amp) * ferr
+        else:
+            rtol = tol / max(abs(coef), 1e-3)
+            radial = functools.partial(_radial_singular, u, x, alpha, m,
+                                       min(14, u.max_line_deriv))
             val, aerr, rerr = _angular_loop(radial, n, rtol)
-        value, error = coef * val, abs(coef) * (aerr + rtol + rerr)
+            value, error = coef * val, abs(coef) * (aerr + rtol + rerr)
     if not np.isfinite(value):
         raise QuadratureError("the %s form's value is not finite" % label)
     return FLResult(value, error, label, alpha, n, m or None)
 
 
-def _difference(u, x, alpha, m, coef, label, tol):
-    """The order-2m difference integral through _operator."""
-    def radial(dirs, wts, rtol):
-        return _radial_singular(u, x, alpha, m, _taylor_order(u), rtol,
-                                dirs, wts)
-    return _operator(u, x, alpha, coef, label, tol, radial, m)
+REPRESENTATIONS = ("standard", "order_m", "regularized")
 
 
 def fl_standard(u, x, alpha, tol=1e-9):
@@ -168,18 +172,13 @@ def fl_standard(u, x, alpha, tol=1e-9):
             "standard form needs 0 < alpha < 2: the kernel moment "
             "r^(2-alpha) diverges outside the Levy range")
     coef = 0.5 * c_standard_levy(u.n, alpha)
-    return _difference(u, x, alpha, 1, coef, "standard", tol)
+    return _operator(u, x, alpha, 1, coef, "standard", tol)
 
 
 def fl_order_m(u, x, alpha, m, tol=1e-9):
     """Order-2m difference-kernel form, 0 < alpha < 2m."""
     coef = norm_constants(m, u.n, alpha).c_general   # validates 0 < alpha < 2m
-    return _difference(u, x, alpha, m, coef, "order_m", tol)
-
-
-def _integer_branch(u, x, alpha):
-    p = round(alpha / 2.0)
-    return (-1.0) ** (p + 1) * u.laplacian_power(x, p)
+    return _operator(u, x, alpha, m, coef, "order_m", tol)
 
 
 def fl_regularized(u, x, alpha, tol=1e-10):
@@ -194,25 +193,31 @@ def fl_regularized(u, x, alpha, tol=1e-10):
         raise DomainError("alpha must be >= 0")
     half = alpha / 2.0
     if abs(half - round(half)) <= 1e-12:
-        return FLResult(_integer_branch(u, x, alpha), 0.0, "regularized",
-                        alpha, u.n, None)
+        p = round(half)
+        return FLResult((-1.0) ** (p + 1) * u.laplacian_power(x, p), 0.0,
+                        "regularized", alpha, u.n, None)
     # the small-radius series needs line derivatives beyond order
     # alpha + 1; a plane wave's factor has an exact series but keeps the
     # field's order limit, beyond alpha
-    qmax = _taylor_order(u)
-    if qmax <= alpha + (0 if isinstance(u, PlaneWave) else 1):
+    if min(14, u.max_line_deriv) <= alpha + (
+            0 if isinstance(u, PlaneWave) else 1):
         raise DomainError("field cannot supply enough derivative data "
                           "for alpha = %g" % alpha)
     coef = (-2.0 * gamma(alpha + 1.0)
             / (math.pi * unit_sphere_moment(u.n, alpha)))
+    return _operator(u, x, alpha, 0, coef, "regularized", tol)
 
-    def radial(dirs, wts, rtol):
-        val, err = _radial_singular(u, x, alpha, 0, qmax, rtol, dirs, wts)
-        # the kernel's eps -> 0+ limit is -sin(pi alpha/2) r^(-1-alpha)
-        lead = sin_half_pi(alpha)
-        return -lead * val, abs(lead) * err
 
-    return _operator(u, x, alpha, coef, "regularized", tol, radial, 0)
+def fl_apply(representation, u, x, alpha, m=1, tol=1e-9):
+    """The named representation (one of REPRESENTATIONS) of u at x; m is
+    order_m's stencil order.  Each form is looked up when it is called."""
+    if representation == "standard":
+        return fl_standard(u, x, alpha, tol=tol)
+    if representation == "order_m":
+        return fl_order_m(u, x, alpha, m, tol=tol)
+    if representation == "regularized":
+        return fl_regularized(u, x, alpha, tol=tol)
+    raise DomainError("unknown representation %r" % representation)
 
 
 def fl_eigenvalue(representation, alpha, k, n=1, m=1, tol=1e-9):
@@ -226,11 +231,5 @@ def fl_eigenvalue(representation, alpha, k, n=1, m=1, tol=1e-9):
     if k <= 0.0:
         raise DomainError("k must be positive")
     pw = PlaneWave(np.concatenate([[k], np.zeros(n - 1)]))
-    x = np.zeros(n)
-    if representation == "standard":
-        return complex(fl_standard(pw, x, alpha, tol=tol).value).real
-    if representation == "order_m":
-        return complex(fl_order_m(pw, x, alpha, m, tol=tol).value).real
-    if representation == "regularized":
-        return complex(fl_regularized(pw, x, alpha, tol=tol).value).real
-    raise DomainError("unknown representation %r" % representation)
+    res = fl_apply(representation, pw, np.zeros(n), alpha, m, tol)
+    return complex(res.value).real

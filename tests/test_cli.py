@@ -1,11 +1,12 @@
 """Command-line interface: subcommands, config files, output formats."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from fraclap import cli, constants
+from fraclap import cli, constants, flcore
 from fraclap.constants import norm_constants
 from fraclap.fields import Gaussian
 from fraclap.flcore import fl_regularized
@@ -16,6 +17,13 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+def run_strict(capsys, *argv):
+    """run with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(capsys, *argv)
 
 
 def parse_csv(text):
@@ -295,7 +303,7 @@ class TestNumericalFailure:
     def test_exit_three(self, capsys, monkeypatch, exc):
         def failing(*args, **kwargs):
             raise exc
-        monkeypatch.setattr(cli, "fl_standard", failing)
+        monkeypatch.setattr(flcore, "fl_standard", failing)
         code, out, err = run(capsys, "apply", "--alpha", "1.2", "--rep",
                              "standard", "--samples", "1")
         assert code == 3
@@ -311,6 +319,49 @@ class TestNumericalFailure:
         assert out == ""
         assert err.endswith("regularized form's value is not finite\n")
         assert err.count("error:") == 1 and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_nan_ends_the_angular_loop(self, capsys, n):
+        # sigma = 1e-30: the first sphere rule's value is already nan, so
+        # the loop stops there instead of refining and warning
+        code, out, err = run_strict(capsys, "apply", "--alpha", "1",
+                                    "--sigma", "1e-30", "--n", n,
+                                    "--samples", "1")
+        assert code == 3
+        assert out == ""
+        assert err.endswith("regularized form's value is not finite\n")
+        assert err.count("\n") == 1
+
+
+class TestPlaneWaveExtremes:
+    """|k| near the ends of the doubles: an eigenvalue that is a double is
+    printed, one past them fails in one line."""
+
+    def test_huge_k_eigenvalue(self, capsys):
+        code, out, err = run_strict(capsys, "eig", "--k-min", "1e200",
+                                    "--k-max", "1e200", "--alpha", "1.5",
+                                    "--samples", "1")
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert float(rows[0][1]) == pytest.approx(-1e300, rel=1e-12)
+
+    def test_tiny_k(self, capsys):
+        code, out, err = run_strict(capsys, "apply", "--field", "planewave",
+                                    "--k", "1e-300", "--alpha", "1.5",
+                                    "--samples", "1")
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert math.isfinite(float(rows[0][1]))
+
+    def test_value_past_the_doubles(self, capsys):
+        code, out, err = run_strict(capsys, "apply", "--field", "planewave",
+                                    "--k", "1e300", "--alpha", "1.5",
+                                    "--samples", "1")
+        assert code == 3
+        assert out == ""
+        assert err == ("error: numerical failure: the regularized form's "
+                       "value is not finite\n")
 
 
 class TestOutputAndConfig:

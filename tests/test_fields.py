@@ -1,6 +1,7 @@
 """Test fields: plane waves, Gaussians, and user-supplied profiles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,14 @@ class TestPlaneWave:
         for p in (1, 2):
             assert u.laplacian_power(x, p) == pytest.approx(
                 (-1.0) ** p * u(x), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1e-300, 1e-170, 1e170, 1e300])
+    def test_wavenumber_at_the_ends_of_the_doubles(self, k):
+        # |k| neither underflows nor overflows where k itself does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for vec in ([k], [0.0, -k], [0.0, 0.0, k]):
+                assert PlaneWave(np.array(vec)).wavenumber == k
 
     def test_no_decay_radius(self):
         with pytest.raises(Exception):

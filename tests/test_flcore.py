@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from fraclap import flcore
 from fraclap.constants import DomainError, cos_moment, norm_constants
 from fraclap.fields import Gaussian, PlaneWave, UserField
-from fraclap.flcore import (fl_eigenvalue, fl_order_m, fl_regularized,
-                            fl_standard, sphere_rule)
+from fraclap.flcore import (fl_apply, fl_eigenvalue, fl_order_m,
+                            fl_regularized, fl_standard, sphere_rule)
 from fraclap.oracle import gaussian_reference
 
 # reference values for the unit Gaussian, computed to 20 digits with
@@ -112,7 +112,7 @@ class TestOrderM:
         coef = abs(norm_constants(m, 1, alpha).c_general)
         rtol = tol / max(coef, 1e-3)
         _, rerr = flcore._radial_singular(u, x, alpha, m,
-                                          flcore._taylor_order(u), rtol,
+                                          min(14, u.max_line_deriv), rtol,
                                           *flcore.sphere_rule(1))
         assert rerr > rtol
         assert fl_order_m(u, x, alpha, m, tol=tol).error >= coef * rerr
@@ -171,6 +171,15 @@ class TestRegularized:
         res = fl_regularized(u, x, 1.4)
         assert complex(res.value) == pytest.approx(
             -(k ** 1.4) * complex(u(x)), rel=1e-8)
+
+
+class TestApply:
+    def test_each_name_runs_its_form(self):
+        u, x = Gaussian(1.0), np.array([0.4])
+        assert fl_apply("standard", u, x, 1.2) == fl_standard(u, x, 1.2)
+        assert fl_apply("order_m", u, x, 2.5, m=2) == fl_order_m(u, x, 2.5, 2)
+        assert (fl_apply("regularized", u, x, 1.2, tol=1e-10)
+                == fl_regularized(u, x, 1.2))
 
 
 class TestUserField:
