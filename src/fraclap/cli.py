@@ -112,14 +112,11 @@ def cmd_dispersion(args):
     p = SelfSimilarParams(delta=args.delta, a=args.a, m=args.m,
                           tol=args.tol)
     khs = np.linspace(args.kh_min, args.kh_max, args.samples)
-    amp = wm_limit_amplitude(p, 1.0) / p.zeta if args.limit else None
     header = ["kh", "omega2_wm"] + (["omega2_limit"] if args.limit else [])
-    rows = []
-    for kh in khs:
-        row = [float(kh), wm_dispersion(float(kh), p)]
-        if args.limit:
-            row.append(0.0 if kh == 0.0 else amp * float(kh) ** args.delta)
-        rows.append(row)
+    rows = [[float(kh), wm_dispersion(float(kh), p)] for kh in khs]
+    if args.limit:
+        for row, limit in zip(rows, wm_limit_amplitude(p, khs) / p.zeta):
+            row.append(limit)
     emit(header, rows, args.format, args.out)
     return 0
 

@@ -91,11 +91,13 @@ class PlaneWave(Field):
         return (1j * kappa) ** order * np.exp(1j * float(self.k @ x))
 
     def sup_line_deriv(self, order):
-        return self.wavenumber ** order
+        return np.float64(self.wavenumber) ** order
 
     def laplacian_power(self, x, p):
+        # float64 powers overflow to inf, as in sup_line_deriv
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return (-self.wavenumber ** 2) ** p * np.exp(1j * float(self.k @ x))
+        return ((-np.float64(self.wavenumber) ** 2) ** p
+                * np.exp(1j * float(self.k @ x)))
 
     def decay_radius(self, x, tol):
         raise ValueError("plane waves do not decay; use the spectral path")
@@ -138,7 +140,8 @@ class Gaussian(Field):
 
     def laplacian_power(self, x, p):
         # product of 1-d Gaussians: expand (sum_i d^2/dy_i^2)^p by the
-        # multinomial theorem, each factor a Hermite closed form
+        # multinomial theorem, each factor a Hermite closed form; float64
+        # powers overflow to inf
         x = np.atleast_1d(np.asarray(x, dtype=float))
         t = (x - self.center) / self.sigma
         if p == 0:
@@ -151,7 +154,7 @@ class Gaussian(Field):
                 coef //= math.factorial(c)
             term = coef
             for ti, ci in zip(t, combo):
-                term *= (self.sigma ** (-2 * ci)
+                term *= (np.float64(self.sigma) ** (-2 * ci)
                          * float(hermite_poly(2 * ci, np.array([ti]))[0])
                          * math.exp(-ti * ti))
             total += term

@@ -194,8 +194,11 @@ def fl_regularized(u, x, alpha, tol=1e-10):
     half = alpha / 2.0
     if abs(half - round(half)) <= 1e-12:
         p = round(half)
-        return FLResult((-1.0) ** (p + 1) * u.laplacian_power(x, p), 0.0,
-                        "regularized", alpha, u.n, None)
+        with np.errstate(all="ignore"):     # a non-finite value is refused
+            value = (-1.0) ** (p + 1) * u.laplacian_power(x, p)
+        if not np.isfinite(value):
+            raise QuadratureError("the regularized form's value is not finite")
+        return FLResult(value, 0.0, "regularized", alpha, u.n, None)
     # the small-radius series needs line derivatives beyond order
     # alpha + 1; a plane wave's factor has an exact series but keeps the
     # field's order limit, beyond alpha

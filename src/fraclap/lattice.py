@@ -1,13 +1,16 @@
 """Self-similar harmonic chains and their Weierstrass-Mandelbrot spectra.
 
 The lattice operators are bi-infinite sums over dilation levels s with
-weight a^(-delta*s).  The s -> +inf tail is cut with a certified geometric
-bound, the sup of the field.  As s -> -inf a field's levels take the
-stencil's small-step series and sum in closed form; the dispersion cuts
-that tail too, by sin x <= x.
+weight a^(-delta*s), and both split them by one rule (_levels).  Every
+level where a stencil's small-step series (constants.stencil_series) is
+exact to the direct level's rounding takes the series, and all of those
+levels, down to s -> -inf, sum in closed form.  The levels above are
+direct, and the s -> +inf tail is cut with a certified geometric bound:
+the sup of the field, or 4^m for the dispersion.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +19,7 @@ import numpy as np
 from .constants import (DomainError, check_order, diff_weights,
                         forward_weights, stencil_moment, stencil_series,
                         v_integral)
+from .quad import QuadratureError
 
 # the most levels one sum may take; the count grows like 1/ln a as a -> 1
 _MAX_LEVELS = 10 ** 6
@@ -51,26 +55,38 @@ class SelfSimilarParams:
         return math.log(self.a)
 
 
-def _level_range(p, log_pos, *neg, below=0):
-    """Truncation: largest |s| kept on each side, one count per side given.
+def _levels(p, step, qs, cq, rem, e, rnd, log_amp, square=False):
+    """Split sum_s a^(-delta*s) d_s, d_s the level at step z = step a^s
+    with the series sum_q cq z^q + O(rem z^e) over the powers qs (square:
+    the squares of their real parts).  Returns (top, s_pos, the closed
+    form of the levels s <= top); the caller adds the direct levels
+    top+1..s_pos.
 
-    e^log_pos bounds the summand for s >= 0 up to the factor a^(-delta*s);
-    neg = (log_neg, decay_neg), if given, bounds it for s < 0 by
-    e^log_neg * a^(decay_neg*s) (decay_neg > 0), in logs so that no bound
-    overflows.  Each omitted tail stays below tol/2.  The budget also
-    counts the levels below 0 that the caller sums itself.
+    top is the highest level where rem z^e is below rnd, the direct level's
+    rounding, and every z^q is finite.  Each power's levels s <= top are
+    one geometric series, scaled in logs.  The tail beyond s_pos, at most
+    e^log_amp a^(-delta*s) a level, stays below tol/2.  Over _MAX_LEVELS
+    direct levels, DomainError names an a that fits.
     """
-    la = math.log(p.a)
-    sides = [(log_pos, p.delta), neg] if neg else [(log_pos, p.delta)]
-    n = [(amp - math.log(0.5 * p.tol * (1.0 - p.a ** -decay))) / (decay * la)
-         for amp, decay in sides]
-    levels = sum(n) + below
-    if not levels <= _MAX_LEVELS:
+    la, ls = math.log(p.a), math.log(step)
+    top = min(math.ceil((math.log(rnd / max(rem, 1e-300)) / e - ls) / la) - 1,
+              math.floor((700.0 / qs.max() - ls) / la))
+    n = ((log_amp - math.log(-0.5 * p.tol * math.expm1(-p.delta * la)))
+         / (p.delta * la))
+    count = n - top
+    if not count <= _MAX_LEVELS:
         # the count falls at least like 1/ln a: scale ln a by the overshoot
         raise DomainError("the level sum needs %.3g levels, over the budget "
-                          "of %d; use a >= %r" % (levels, _MAX_LEVELS,
-                              math.exp(min(la * levels / _MAX_LEVELS, 709))))
-    return tuple(max(1, math.ceil(ni)) for ni in n)
+                          "of %d; use a >= %r" % (count, _MAX_LEVELS,
+                              math.exp(min(la * count / _MAX_LEVELS, 709))))
+    # the terms at the top level with its weight, half on each factor of
+    # a square, in one exp: z^q or the weight alone may overflow
+    cq = cq * np.exp(qs * (ls + top * la)
+                     - p.delta * top * la / (2 if square else 1))
+    if square:      # every product of two terms' real parts
+        qs, cq = np.add.outer(qs, qs), np.outer(cq.real, cq.real)
+    closed = np.sum(cq / -np.expm1((p.delta - qs) * la))
+    return top, math.ceil(n), closed
 
 
 def _reduced_phases(kh, a, s0, s1):
@@ -104,33 +120,47 @@ def _reduced_phases(kh, a, s0, s1):
         x = (x * num_a) >> (den_a.bit_length() - 1)     # den_a = 2^j
 
 
+@functools.lru_cache(maxsize=None)
+def _dispersion_series(m):
+    """The arguments of _levels after the step for a dispersion level
+    4^m sin^(2m)(z/2) = -sum_p w_p cos(p z) over diff_weights(m): its
+    small-step series (qs, cq, K, e), leaving out at most K z^e, the
+    rounding eps 4^m and the log of its bound 4^m."""
+    orders = range(2 * m, 2 * m + 30, 2)
+    c, rem = stencil_series(*diff_weights(m), orders,
+                            lambda q: (-1) ** (q // 2), lambda q: 1.0)
+    return (np.array(list(c), dtype=float), -np.array(list(c.values())),
+            rem, orders.stop, np.finfo(float).eps * 4.0 ** m,
+            m * math.log(4.0))
+
+
 def wm_dispersion(kh, p):
     """omega^2(kh) = 4^m sum_s a^(-delta*s) sin^(2m)(kh a^s / 2).
 
-    Exactly self-similar: omega^2(a*kh) = a^delta omega^2(kh), preserved
-    numerically by exact phase reduction at high levels (whenever the
-    dilated product a*kh itself rounds exactly).
+    The small steps kh a^s sum in closed form (_levels, with the rounding
+    eps 4^m of a direct level); the levels above them are direct, their
+    phases reduced exactly (_reduced_phases) once they pass 1e4.  Exactly
+    self-similar: omega^2(a*kh) = a^delta omega^2(kh), preserved
+    numerically whenever the dilated product a*kh itself rounds exactly.
+    A value past the doubles raises QuadratureError.
     """
-    if kh < 0.0:
-        raise DomainError("kh must be >= 0")
+    if not 0.0 <= kh < math.inf:
+        raise DomainError("kh must be finite and >= 0")
     if kh == 0.0:
         return 0.0
-    m, d = p.m, p.delta
-    s_pos, s_neg = _level_range(p, m * math.log(4.0),
-                                2 * m * math.log(kh), 2.0 * m - d)
-    s = np.arange(-s_neg, s_pos + 1).astype(float)
+    m = p.m
     with np.errstate(over="ignore", invalid="ignore"):
+        top, s_pos, total = _levels(p, kh, *_dispersion_series(m))
+        s = np.arange(top + 1, s_pos + 1).astype(float)
         phase = 0.5 * kh * p.a ** s
         i = int(np.searchsorted(phase, 1e4, side="right"))
-        phase[i:] = list(_reduced_phases(kh, p.a, i - s_neg, s_pos))
-        weight, sine = p.a ** (-d * s), np.sin(phase) ** (2 * m)
-        terms = weight * sine
-    # where a^(-delta*s) overflows or sin^(2m) underflows (deep s < 0), the
-    # product is inf*0 or loses bits; sin x = x there, so use the log form
-    deep = (s < 0) & ~((weight < math.inf) & (sine >= np.finfo(float).tiny))
-    terms[deep] = np.exp(2 * m * math.log(0.5 * kh)
-                         + (2 * m - d) * math.log(p.a) * s[deep])
-    return float(4.0 ** m * np.sum(terms))
+        if i < s.size:      # with no direct level, a^(top+1) is too big
+            phase[i:] = list(_reduced_phases(kh, p.a, top + 1 + i, s_pos))
+        total += 4.0 ** m * np.sum(p.a ** (-p.delta * s)
+                                   * np.sin(phase) ** (2 * m))
+    if not math.isfinite(total):
+        raise QuadratureError("the dispersion's value is not finite")
+    return float(total)
 
 
 def _series(u, x, offs, w, orders):
@@ -155,27 +185,19 @@ def _level_sum(u, x, p, offs, w, square):
 
     The stencil's series (constants.stencil_series from its order k to
     k + 29, or to the field's max_line_deriv) leaves out at most K step^e.
-    The levels where that is below the direct difference's rounding
-    eps sum|w| max(|u(x)|, 1) take it and sum in closed form, one geometric
+    _levels sums the levels where that is below the direct difference's
+    rounding eps sum|w| max(|u(x)|, 1) in closed form, one geometric
     series a^((j - delta)s) per power step^j; the rest are differences.
     """
     k = next(q for q in range(len(offs)) if stencil_moment(offs, w, q))
-    la, w_sum = math.log(p.a), float(np.sum(np.abs(w)))
+    w_sum = float(np.sum(np.abs(w)))
     sup_u = max(abs(u(np.atleast_1d(np.asarray(x, dtype=float)))), 1.0)
     e = min(k + 30, max(k, u.max_line_deriv) + 1)
     c, rem = _series(u, x, offs, w, range(k, e))
-    qs, cq = np.array(list(c), dtype=float), np.array(list(c.values()))
-    # the top series level: rem step^e under the rounding, step^q finite
-    rnd, lh = np.finfo(float).eps * w_sum * sup_u, math.log(p.h)
-    top = min(math.ceil((math.log(rnd / max(rem, 1e-300)) / e - lh) / la) - 1,
-              math.floor((700.0 / qs.max() - lh) / la))
-    cq = cq * (p.h * p.a ** top) ** qs      # the terms at the top level
-    if square:      # every product of two terms' real parts
-        qs, cq = np.add.outer(qs, qs), np.outer(cq.real, cq.real)
-    total = (np.sum(cq / -np.expm1((p.delta - qs) * la))
-             * p.a ** (-p.delta * top))
-    s_pos, = _level_range(p, (2 if square else 1) * math.log(w_sum * sup_u),
-                          below=-top)
+    top, s_pos, total = _levels(
+        p, p.h, np.array(list(c), dtype=float), np.array(list(c.values())),
+        rem, e, np.finfo(float).eps * w_sum * sup_u,
+        (2 if square else 1) * math.log(w_sum * sup_u), square)
     for s in range(top + 1, s_pos + 1):
         diff = complex(w @ u.on_ray(x, np.ones(1), offs * (p.h * p.a ** s)))
         total += p.a ** (-p.delta * s) * (diff.real ** 2 if square else diff)
@@ -199,12 +221,18 @@ def wm_energy_density(u, x, p, f_m=1.0):
 
 
 def wm_limit_amplitude(p, kh=1.0, tol=1e-10):
-    """Continuum limit lim_{a -> 1} |ln a| omega^2(kh) = kh^delta V(m, delta).
+    """Continuum limit lim_{a -> 1} |ln a| omega^2(kh) = kh^delta V(m, delta),
+    for one kh or an array of them.
 
     Substituting t = 2x/kh turns the limit integral of the level sum into
     the radial integral V of constants.v_integral, a closed form that
-    meets any tol.
+    meets any tol.  A value past the doubles raises QuadratureError.
     """
-    if kh < 0.0:
+    kh = np.asarray(kh, dtype=float)
+    if np.any(kh < 0.0):
         raise DomainError("kh must be >= 0")
-    return kh ** p.delta * v_integral(p.m, p.delta)
+    with np.errstate(over="ignore"):
+        value = kh ** p.delta * v_integral(p.m, p.delta)
+    if not np.all(np.isfinite(value)):
+        raise QuadratureError("the continuum limit's value is not finite")
+    return value

@@ -117,6 +117,16 @@ class TestDispersion:
         assert len(rows) == 121
         assert all(math.isfinite(float(r[1])) for r in rows)
 
+    def test_no_direct_level(self, capsys, deadline):
+        # every level above s_pos takes the series, so no phase is reduced
+        # (from the level above the series, a^s has millions of bits)
+        with deadline(5):
+            code, out, err = run_strict(capsys, "dispersion", "--delta", "1.5",
+                                        "--a", "1.0001", "--kh-min", "5e-324",
+                                        "--kh-max", "5e-324", "--samples", "1")
+        assert code == 0 and err == ""
+        assert math.isfinite(float(parse_csv(out)[1][0][1]))
+
 
 class TestLevelBudget:
     @pytest.mark.parametrize("argv", [
@@ -362,6 +372,40 @@ class TestPlaneWaveExtremes:
         assert out == ""
         assert err == ("error: numerical failure: the regularized form's "
                        "value is not finite\n")
+
+
+class TestValuePastTheDoubles:
+    """Lattice values and the even-alpha branch past the doubles fail in
+    one line, with no traceback or warning."""
+
+    @pytest.mark.parametrize("argv,what", [
+        (["dispersion", "--delta", "1.5", "--kh-min", "1e300", "--kh-max",
+          "1e300", "--samples", "1"], "dispersion's"),
+        (["dispersion", "--delta", "1.5", "--a", "1e300", "--kh-min",
+          "1e206", "--kh-max", "1e206", "--samples", "1", "--limit"],
+         "continuum limit's"),
+        (["converge", "--delta", "1.5", "--kh", "1e300"],
+         "continuum limit's"),
+        (["eig", "--alpha", "2", "--k-min", "1e200", "--k-max", "1e200",
+          "--samples", "1"], "regularized form's"),
+        (["eig", "--alpha", "4", "--k-min", "1e100", "--k-max", "1e100",
+          "--samples", "1"], "regularized form's"),
+        (["apply", "--field", "planewave", "--k", "1e200", "--alpha", "2",
+          "--samples", "1"], "regularized form's"),
+        (["apply", "--alpha", "4", "--sigma", "1e-100", "--samples", "1"],
+         "regularized form's"),
+        (["apply", "--alpha", "2", "--sigma", "1e-154", "--x-min", "0",
+          "--x-max", "0", "--samples", "1"], "regularized form's"),
+    ])
+    def test_exit_three(self, capsys, deadline, argv, what):
+        with deadline(5):
+            code, out, err = run_strict(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        # an oracle note may come first
+        assert err.endswith("error: numerical failure: the %s value is not "
+                            "finite\n" % what)
+        assert err.count("error:") == 1
 
 
 class TestOutputAndConfig:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -101,10 +102,15 @@ class TestWmDispersion:
          1e-9, 60),
         # delta near 2m: a^(-delta*s) overflows at the deepest levels
         (3.0, 1.541, 5.75, 3, 1e-10, 60),
+        # delta near 2m at small a: the closed-form levels carry the sum
+        (1.0, 1.025, 3.95, 2, 1e-10, 30),
+        # every level above s_pos takes the series: none is direct
+        (1e-300, 1.025, 1.5, 1, 1e-10, 60),
     ])
     def test_within_tol_of_mpmath(self, kh, a, d, m, tol, dps):
+        # the one cut tail, beyond s_pos, spends tol/2
         got = wm_dispersion(kh, SelfSimilarParams(delta=d, a=a, m=m, tol=tol))
-        assert abs(got - mp_dispersion(kh, a, d, m, dps)) <= tol
+        assert abs(got - mp_dispersion(kh, a, d, m, dps)) <= tol / 2
 
     def test_level_budget(self):
         p = SelfSimilarParams(delta=0.8, a=1.000001, tol=1e-9)
@@ -113,8 +119,8 @@ class TestWmDispersion:
         # the a the message names fits the budget
         a_min = float(str(err.value).rsplit(">= ", 1)[1])
         assert 1.00001 < a_min < 1.001
-        lattice._level_range(SelfSimilarParams(delta=0.8, a=a_min, tol=1e-9),
-                             math.log(4.0), 0.0, 1.2)
+        lattice._levels(SelfSimilarParams(delta=0.8, a=a_min, tol=1e-9), 1.0,
+                        *lattice._dispersion_series(1))
 
     def test_positive(self):
         p = SelfSimilarParams(delta=0.9, a=1.7, m=2)
@@ -127,6 +133,16 @@ class TestWmDispersion:
         assert math.isfinite(got)
         assert wm_dispersion(2e200, p) == pytest.approx(2.0 ** 0.8 * got,
                                                         rel=1e-12)
+
+    def test_phases_past_the_doubles(self, deadline):
+        # delta = 0.01: the direct levels reach s ~ 3800, where 0.5 kh a^s
+        # overflows; those phases come from the exact reduction
+        p = SelfSimilarParams(delta=0.01, a=4.0, m=20)
+        with deadline(10), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = wm_dispersion(1.0, p)
+            assert wm_dispersion(4.0, p) == pytest.approx(4.0 ** 0.01 * got,
+                                                          rel=1e-12)
 
     def test_negative_kh_rejected(self):
         p = SelfSimilarParams(delta=0.9, a=1.7)
@@ -143,8 +159,8 @@ class TestReducedPhases:
         rng = random.Random(7)
         for kh in (0.37, 1.0, 2.9):
             p = SelfSimilarParams(delta=d, a=a, tol=1e-10)
-            s_pos, _ = lattice._level_range(p, math.log(4.0),
-                                            2.0 * math.log(kh), 2.0 - d)
+            _, s_pos, _ = lattice._levels(p, kh,
+                                          *lattice._dispersion_series(1))
             s0 = math.ceil(math.log(1e4 / (0.5 * kh)) / math.log(a))
             got = list(lattice._reduced_phases(kh, a, s0, s_pos))
             assert 0.5 * kh * a ** s_pos < 1e70
