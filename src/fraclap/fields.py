@@ -1,6 +1,7 @@
 """Test fields the operators can be applied to.
 
-A field knows how to evaluate itself along rays, supplies analytic
+A field knows how to evaluate itself along rays and its integral over
+spheres (the profile of the singular integrals), supplies analytic
 directional derivatives at a point (used for the small-radius series of
 the singular integrals), global derivative bounds (used for truncation
 estimates), and a decay radius.
@@ -11,9 +12,11 @@ import math
 
 import numpy as np
 
-from .constants import even_deriv
+from .constants import DomainError, even_deriv
 
 _SUP_SAMPLES = 20001    # grid points of _hermite_gauss_sup's search
+# the unit sphere in 1-D: two directions of weight 1
+_POLES, _POLE_WEIGHTS = np.array([[1.0], [-1.0]]), np.ones(2)
 
 
 def hermite_poly(q, t):
@@ -35,6 +38,26 @@ def _hermite_gauss_sup(q):
     return float(np.max(np.abs(hermite_poly(q, t)) * np.exp(-t * t))) * 1.01
 
 
+def _i0e(z):
+    """I_0(z) exp(-z) for an array of z >= 0.  Up to z = 64 it is the
+    midpoint rule in phi of the mean of exp(-2z sin^2(phi/2)) over a
+    period, with floor(z) + 25 points: that rule converges geometrically
+    (Trefethen & Weideman, SIAM Review 56(3), 2014).  Beyond, it is the
+    asymptotic series to 14 terms (DLMF 10.40.1)."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    near = z <= 64.0
+    npts = int(np.max(z[near], initial=0.0)) + 25
+    s2 = np.sin(math.pi * (np.arange(npts) + 0.5) / npts) ** 2
+    out[near] = np.exp(np.multiply.outer(-2.0 * z[near], s2)).sum(-1) / npts
+    far = z[~near]
+    if far.size:
+        terms = np.cumprod([(2 * k - 1) ** 2 / (8 * k * far)
+                            for k in range(1, 14)], axis=0)
+        out[~near] = (1.0 + terms.sum(axis=0)) / np.sqrt(2.0 * math.pi * far)
+    return out
+
+
 class Field:
     """Base interface; n is the ambient dimension."""
 
@@ -50,6 +73,15 @@ class Field:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         d = np.atleast_1d(np.asarray(direction, dtype=float))
         return self(x + np.multiply.outer(np.asarray(r, dtype=float), d))
+
+    def sphere_mean(self, x, r):
+        """The integral of u(x + r*theta) over the unit sphere theta, for
+        an array of radii r: u(x + r) + u(x - r) in 1-D.  A field in more
+        dimensions needs a closed form of its own."""
+        if self.n != 1:
+            raise DomainError("%s has no sphere mean in %d-D"
+                              % (type(self).__name__, self.n))
+        return self.on_ray(x, _POLES, r) @ _POLE_WEIGHTS
 
     def line_deriv(self, x, direction, order):
         """d^order/dt^order u(x + t*d) at t = 0, for one direction d or
@@ -134,6 +166,21 @@ class Gaussian(Field):
         t = d @ w / self.sigma
         return (np.float64(-1.0 / self.sigma) ** order * hermite_poly(order, t)
                 * math.exp(-float(w @ w) / self.sigma ** 2))
+
+    def sphere_mean(self, x, r):
+        # exp(-(w^2 + r^2)/sigma^2) times the sphere integral of
+        # exp(-z cos), z = 2|r|w/sigma^2: 2 pi I_0(z) in 2-D, 2 pi
+        # (e^z - e^-z)/z in 3-D; both scaled by e^-z for range
+        if self.n not in (2, 3):
+            return super().sphere_mean(x, r)
+        w = float(np.linalg.norm(np.atleast_1d(x) - self.center))
+        r = np.abs(np.asarray(r, dtype=float))
+        z = 2.0 * r * w / self.sigma ** 2
+        peak = 2.0 * math.pi * np.exp(-((r - w) / self.sigma) ** 2)
+        if self.n == 2:
+            return peak * _i0e(z)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return peak * np.where(z > 0.0, -np.expm1(-2.0 * z) / z, 2.0)
 
     def sup_line_deriv(self, order):
         return _hermite_gauss_sup(order) / np.float64(self.sigma) ** order

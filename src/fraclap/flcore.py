@@ -11,9 +11,10 @@ Three interchangeable routes to -(-Delta)^(alpha/2):
 fl_apply dispatches on their names (REPRESENTATIONS).  All of them run
 through one driver (_operator), which takes the form's constant and its
 stencil order m (0: the field itself, times the lead -sin(pi alpha/2)
-that _lead applies) and integrates the angular average first and the
-radial variable second under one tolerance rule.  Plane waves take the
-analytic angular reduction through the unit-sphere moment.  Their
+that _lead applies) and integrates over radii the field's sphere mean
+(Field.sphere_mean, in closed form) under one tolerance rule.  Plane
+waves take the analytic angular reduction through the unit-sphere
+moment.  Their
 k-independent radial factor is one cosine finite part for every form
 (constants.cos_moment, cached per form and alpha) and is still computed
 by genuine quadrature, so cross-checks against -|k|^alpha stay
@@ -22,7 +23,6 @@ meaningful.
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,28 +44,25 @@ class FLResult:
     m: int | None = None
 
 
-def sphere_rule(n, level=0):
-    """Full-sphere quadrature nodes and weights (total weight |S^(n-1)|).
-
-    n = 1 is the exact two-point rule; n = 2 uses the trapezoid rule in
-    the angle (spectrally accurate for smooth integrands); n = 3 pairs
-    Gauss-Legendre in cos(theta) with the trapezoid in phi.
-    """
+def sphere_rule(n):
+    """Full-sphere quadrature nodes and weights (total weight |S^(n-1)|),
+    exact for direction polynomials to degree 15 (the Taylor data needs
+    14): the two-point rule (n = 1), the 16-point trapezoid rule in the
+    angle (n = 2), 8-point Gauss-Legendre in cos(theta) times it in phi
+    (n = 3)."""
     if n == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if n == 2:
-        mm = 16 * 2 ** level
-        phi = 2.0 * math.pi * np.arange(mm) / mm
+        phi = 2.0 * math.pi * np.arange(16) / 16
         dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        return dirs, np.full(mm, 2.0 * math.pi / mm)
+        return dirs, np.full(16, 2.0 * math.pi / 16)
     if n == 3:
-        kk = 8 * 2 ** level
-        c, wc = np.polynomial.legendre.leggauss(kk)
-        phi = 2.0 * math.pi * np.arange(2 * kk) / (2 * kk)
+        c, wc = np.polynomial.legendre.leggauss(8)
+        phi = 2.0 * math.pi * np.arange(16) / 16
         cc, pp = np.meshgrid(c, phi, indexing="ij")
         s = np.sqrt(1.0 - cc ** 2)
         dirs = np.stack([s * np.cos(pp), s * np.sin(pp), cc], axis=-1)
-        return dirs.reshape(-1, 3), np.repeat(wc * math.pi / kk, 2 * kk)
+        return dirs.reshape(-1, 3), np.repeat(wc * math.pi / 8, 16)
     raise DomainError("n must be 1, 2 or 3")
 
 
@@ -75,12 +72,14 @@ def _lead(m, alpha):
     return 1.0 if m else -sin_half_pi(alpha)
 
 
-def _radial_singular(u, x, alpha, m, qmax, tol, dirs, wts):
-    """integral over directions and radii of Delta_2m(r nhat) u(x)
-    r^(-1-alpha), for a decaying field; m = 0 takes u(x + r nhat) itself,
-    the profile of the regularized form; the result carries _lead(m,
-    alpha).  Returns (value, err)."""
+def _radial_singular(u, x, alpha, m, qmax, tol):
+    """integral over radii of sum_p w_p u.sphere_mean(x, p r) r^(-1-alpha),
+    the order-2m stencil (m = 0: u itself, the regularized form's profile)
+    of a decaying field's sphere mean; the result carries _lead(m,
+    alpha).  The Taylor data sums line derivatives over sphere_rule(u.n).
+    Returns (value, err)."""
     offs, w = radial_stencil(m)
+    dirs, wts = sphere_rule(u.n)
     omega_tot = float(np.sum(wts))
 
     tiny = tol * 1e-2
@@ -93,9 +92,8 @@ def _radial_singular(u, x, alpha, m, qmax, tol, dirs, wts):
     taylor, k = stencil_series(offs, w, range(2 * m, qmax + 2, 2), deriv,
                                lambda q: u.sup_line_deriv(q) * omega_tot)
 
-    # a ray call per stencil offset: batches 2m+1 times smaller in memory
     def profile(r):
-        return w @ [np.real(u.on_ray(x, dirs, p * r)) @ wts for p in offs]
+        return w @ [np.real(u.sphere_mean(x, p * r)) for p in offs]
 
     # beyond the decay radius only the central weight survives
     w0 = float(np.sum(w[offs == 0]))
@@ -105,24 +103,6 @@ def _radial_singular(u, x, alpha, m, qmax, tol, dirs, wts):
     lead = _lead(m, alpha)
     return lead * val, abs(lead) * (
         err + omega_tot * 4.0 ** m * tiny * big ** (-alpha) / alpha)
-
-
-def _angular_loop(compute, n, tol):
-    """Evaluate compute(tol, dirs, wts) -> (value, radial error) on refining
-    sphere rules until stable.  Returns the last value, its change from
-    the rule before, and the radial error of that value."""
-    if n == 1:
-        val, err = compute(tol, *sphere_rule(1))
-        return val, 0.0, err
-    prev = None
-    for level in range(5):
-        val, err = compute(tol, *sphere_rule(n, level))
-        change = math.inf if prev is None else abs(val - prev)
-        if change < 0.5 * tol or not math.isfinite(val):  # NaN never settles
-            return val, change, err
-        prev = val
-    warnings.warn("angular quadrature did not stabilize; returning anyway")
-    return val, change, err
 
 
 @functools.lru_cache(maxsize=64)
@@ -139,10 +119,10 @@ def _operator(u, x, alpha, m, coef, label, tol):
     """coef times the radial integral of the order-2m stencil of u at x
     (m = 0: u itself), the one path of all three forms.  A plane wave
     takes the analytic angular reduction, coef U(n, alpha) k^alpha u(x)
-    times _plane_wave_factor.  Any other field runs the angular loop over
-    _radial_singular, its series to order min(14, max_line_deriv), with
-    rtol = tol / max(|coef|, 1e-3) for the radial integral, its decay
-    radius and the loop.  A non-finite value raises QuadratureError."""
+    times _plane_wave_factor.  Any other field takes one _radial_singular,
+    its series to order min(14, max_line_deriv), with rtol = tol /
+    max(|coef|, 1e-3) for the radial integral and its decay radius.  A
+    non-finite value raises QuadratureError."""
     n = u.n
     with np.errstate(all="ignore"):     # a non-finite value is refused
         if isinstance(u, PlaneWave):
@@ -153,10 +133,9 @@ def _operator(u, x, alpha, m, coef, label, tol):
             value, error = amp * f * u0, abs(amp) * ferr
         else:
             rtol = tol / max(abs(coef), 1e-3)
-            radial = functools.partial(_radial_singular, u, x, alpha, m,
-                                       min(14, u.max_line_deriv))
-            val, aerr, rerr = _angular_loop(radial, n, rtol)
-            value, error = coef * val, abs(coef) * (aerr + rtol + rerr)
+            val, rerr = _radial_singular(u, x, alpha, m,
+                                         min(14, u.max_line_deriv), rtol)
+            value, error = coef * val, abs(coef) * (rtol + rerr)
     if not np.isfinite(value):
         raise QuadratureError("the %s form's value is not finite" % label)
     return FLResult(value, error, label, alpha, n, m or None)

@@ -58,14 +58,18 @@ def _panel(f, a, b):
     y = np.asarray(f(mid + half * _XK))
     ik = half * (_WK * y).sum()
     ig = half * (_WG * y[_IG]).sum()
-    return ik, abs(ik - ig)
+    err = abs(ik - ig)
+    if not math.isfinite(err):  # also when ik is not: NaN would never settle
+        raise QuadratureError("integrand not finite on (%r, %r)" % (a, b))
+    return ik, err
 
 
 def integrate_adaptive(f, lo, hi, tol=1e-10, limit=20000, points=()):
     """Integrate a vectorized callable on the finite range (lo, hi).
 
     Bisects the panel with the largest Kronrod-Gauss error estimate until
-    the summed estimate drops below tol (absolute).  Returns (value, err)."""
+    the summed estimate drops below tol (absolute); a non-finite panel
+    raises QuadratureError.  Returns (value, err)."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("need finite limits, got (%r, %r)" % (lo, hi))
     cuts = [lo] + sorted(p for p in points if lo < p < hi) + [hi]

@@ -146,6 +146,54 @@ class TestUserField:
                 g.line_deriv(x, d, q), rel=1e-4)
 
 
+class TestSphereMean:
+    """The integral of u(x + r theta) over the unit sphere in closed form."""
+
+    @staticmethod
+    def _exact(n, w, r, sigma):
+        # the Gaussian's sphere mean at |x - c| = w, 30 digits
+        import mpmath
+        with mpmath.workdps(30):
+            w, r = mpmath.mpf(w), abs(mpmath.mpf(r))
+            z = 2 * r * w / mpmath.mpf(sigma) ** 2
+            peak = 2 * mpmath.pi * mpmath.exp(-((r - w) / sigma) ** 2)
+            if n == 2:
+                return float(peak * mpmath.besseli(0, z) * mpmath.exp(-z))
+            return float(peak * (-mpmath.expm1(-2 * z) / z if z else 2))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("z", [0.0, 1e-8, 1.0, 10.0, 63.9, 64.1, 1e3,
+                                   1e8])
+    def test_gaussian_matches_mpmath(self, n, z):
+        # r = w puts the peak at 1, so the angular factor is all there is;
+        # 63.9 and 64.1 sit on either side of the switch to the series
+        sigma = 0.8
+        w = math.sqrt(z / 2.0) * sigma      # z = 2 r w / sigma^2 at r = w
+        r = w or 0.6                        # z = 0: w = 0 and any r
+        u = Gaussian(sigma, center=0.3, n=n)
+        x = u.center + w * np.eye(n)[0]
+        radii = np.array([r, -r])
+        got = u.sphere_mean(x, radii)
+        want = self._exact(n, np.linalg.norm(x - u.center), r, sigma)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_gaussian_matches_a_sphere_rule(self, n):
+        from fraclap.flcore import sphere_rule
+        u = Gaussian(1.1, center=np.array([0.2, -0.1, 0.4])[:n], n=n)
+        x, r = np.array([0.5, 0.3, -0.2])[:n], np.array([0.1, 0.7, 1.6])
+        dirs, wts = sphere_rule(n)
+        assert np.allclose(u.sphere_mean(x, r), u.on_ray(x, dirs, r) @ wts,
+                           rtol=1e-12, atol=0.0)
+
+    def test_one_dimension_is_the_two_point_sum(self):
+        fn = lambda pts: np.exp(-np.sum(pts ** 2, axis=-1))
+        x, r = np.array([0.3]), np.array([0.0, 0.4, 2.0])
+        for u in (Gaussian(1.0), UserField(fn, decay_radius=8.0)):
+            assert np.array_equal(u.sphere_mean(x, r),
+                                  u(x + r[:, None]) + u(x - r[:, None]))
+
+
 class TestFieldBase:
     def test_plane_wave_reports_wavenumber(self):
         k = np.array([0.0, 2.0])

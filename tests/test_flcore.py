@@ -12,6 +12,7 @@ from fraclap.fields import Gaussian, PlaneWave, UserField
 from fraclap.flcore import (fl_apply, fl_eigenvalue, fl_order_m,
                             fl_regularized, fl_standard, sphere_rule)
 from fraclap.oracle import gaussian_reference
+from fraclap.quad import QuadratureError
 
 # reference values for the unit Gaussian, computed to 20 digits with
 # arbitrary-precision quadrature of the defining integrals
@@ -39,11 +40,10 @@ class TestSphereRule:
         got = np.sum(wts * dirs[:, 2] ** 2) / (4.0 * math.pi)
         assert got == pytest.approx(1.0 / 3.0, rel=1e-12)
 
-    @pytest.mark.parametrize("level", [0, 1])
-    def test_3d_is_legendre_times_trapezoid(self, level):
+    def test_3d_is_legendre_times_trapezoid(self):
         # cos(theta) on Gauss-Legendre nodes (outer), phi on 2k equal steps
-        dirs, wts = sphere_rule(3, level)
-        kk = 8 * 2 ** level
+        dirs, wts = sphere_rule(3)
+        kk = 8
         c, wc = np.polynomial.legendre.leggauss(kk)
         want_dirs, want_wts = [], []
         for ci, wi in zip(c, wc):
@@ -112,8 +112,7 @@ class TestOrderM:
         coef = abs(norm_constants(m, 1, alpha).c_general)
         rtol = tol / max(coef, 1e-3)
         _, rerr = flcore._radial_singular(u, x, alpha, m,
-                                          min(14, u.max_line_deriv), rtol,
-                                          *flcore.sphere_rule(1))
+                                          min(14, u.max_line_deriv), rtol)
         assert rerr > rtol
         assert fl_order_m(u, x, alpha, m, tol=tol).error >= coef * rerr
 
@@ -200,6 +199,25 @@ class TestUserField:
                 "regularized": lambda u: fl_regularized(u, x, 1.2)}[rep]
         assert form(user).value == pytest.approx(form(g).value, abs=1e-7)
 
+    def test_nan_ends_in_one_error(self, deadline):
+        # NaN beyond |x| = 3, inside the declared decay radius 8: the radial
+        # quadrature raises instead of bisecting without end
+        g = Gaussian(1.0)
+        fn = lambda pts: np.where(np.abs(pts[..., 0]) >= 3.0, np.nan,
+                                  np.exp(-np.sum(pts ** 2, axis=-1)))
+        user = UserField(fn, n=1, decay_radius=8.0,
+                         deriv_bound=g.sup_line_deriv)
+        with deadline(10.0), pytest.raises(QuadratureError, match="finite"):
+            fl_standard(user, np.array([0.3]), 1.2)
+
+    @pytest.mark.parametrize("rep", flcore.REPRESENTATIONS)
+    def test_refused_beyond_one_dimension(self, rep):
+        # a wrapped callable has no closed-form sphere mean in 2-D
+        fn = lambda pts: np.exp(-np.sum(pts ** 2, axis=-1))
+        user = UserField(fn, n=2, decay_radius=8.0, deriv_bound=30.0)
+        with pytest.raises(DomainError, match="sphere mean"):
+            fl_apply(rep, user, np.array([0.3, 0.1]), 1.2, m=2)
+
 
 class TestClosedFormND:
     """Gaussian values in 2-D and 3-D against the closed form
@@ -240,6 +258,18 @@ class TestClosedFormND:
         res = form()
         assert abs(res.value - want) <= 1e-9 * max(1.0, abs(want))
         assert abs(res.value - want) <= res.error
+
+    def test_known_3d_bound_miss(self):
+        # a 3-D value that the refining sphere rules once left 6.2e-11 off
+        # at tol 1.4e-11 while reporting 5.3e-11
+        u, alpha = Gaussian(0.6231841205930923, n=3), 3.7804087977312175
+        tol = 1.3793846129180302e-11
+        x = np.array([-0.5293955062823285, -0.5779815281573842,
+                      0.4620526600802961])
+        res = fl_order_m(u, x, alpha, 2, tol=tol)
+        want = self.exact(3, alpha, float(np.linalg.norm(x)), u.sigma)
+        assert abs(res.value - want) <= res.error
+        assert abs(res.value - want) <= tol
 
     def test_tighter_tol_is_no_less_accurate(self):
         # halving the matching radius past the point where the rounding of

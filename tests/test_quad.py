@@ -81,6 +81,13 @@ class TestIntegrateAdaptive:
         with pytest.raises(QuadratureError):
             integrate_adaptive(f, 0.0, 1.0, tol=1e-14, limit=4)
 
+    def test_nan_integrand_raises(self, deadline):
+        # a NaN estimate breaks the panel order: the loop once bisected one
+        # end panel to rounding width and popped it again without end
+        with deadline(5.0), pytest.raises(QuadratureError, match="finite"):
+            integrate_adaptive(lambda r: np.full_like(r, np.nan), 0.0, 1.0,
+                               limit=100)
+
     def test_oscillatory(self):
         val, _ = integrate_adaptive(lambda t: np.cos(7.0 * t), 0.0, 2.0,
                                     tol=1e-12)
