@@ -10,9 +10,8 @@ from .flcore import (FLResult, fl_apply, fl_eigenvalue, fl_order_m,
 from .lattice import (SelfSimilarParams, selfsim_laplacian, wm_dispersion,
                       wm_energy_density, wm_limit_amplitude)
 from .oracle import GridField, dft_fl, fft, gaussian_reference
-from .potentials import (StiffnessMatrix, induced_difference_matrix,
-                         potential_eigenvalue, ring_potential,
-                         scaling_factor, validate_stiffness)
+from .potentials import (induced_difference_matrix, potential_eigenvalue,
+                         ring_potential, scaling_factor, validate_stiffness)
 from .quad import QuadratureError, i_reg, integrate_adaptive, reg_halfline
 
 __version__ = "0.1.0"

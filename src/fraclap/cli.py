@@ -275,9 +275,9 @@ def _selftest_cases():
 
     def potentials_ring():
         v = ring_potential([1.0, 0.5])
-        if not validate_stiffness(v).valid:
-            return False
-        return scaling_factor(v, 1.1) < 0.0
+        want = -(1.0 + 0.5 * 2.0 ** 1.1)
+        return (validate_stiffness(v).valid
+                and abs(scaling_factor(v, 1.1) - want) <= 1e-12 * -want)
 
     return [
         ("constants.factorization", constants_factorization),

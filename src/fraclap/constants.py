@@ -82,17 +82,19 @@ def diff_weights(m):
 def stencil_moment(offs, w, q):
     """M_q = sum_p w_p p^q of a stencil.
 
-    Integer q sums in Python integers, so the moments below the stencil's
-    order are exact zeros and the others exact.  A fractional power q
+    Integer q sums integer-valued weights in Python integers, so the
+    moments below the stencil's order are exact zeros and the others
+    exact; any other weight sums as a float.  A fractional power q
     sums w_p |p|^q over p != 0 relative to the exact integer moment at
     the nearest even order 2j, as that moment plus the sum of
     w_p |p|^2j expm1((q - 2j) ln|p|): where that moment is 0 nothing
     cancels, so the sum keeps its digits however close q is to 2j.
     """
+    w = [int(wp) if float(wp).is_integer() else float(wp) for wp in w]
     if q == int(q):
-        return sum(int(wp) * int(p) ** int(q) for p, wp in zip(offs, w))
+        return sum(wp * int(p) ** int(q) for p, wp in zip(offs, w))
     j2 = 2 * round(q / 2)
-    terms = [int(wp) * abs(int(p)) ** j2 for p, wp in zip(offs, w) if p]
+    terms = [wp * abs(int(p)) ** j2 for p, wp in zip(offs, w) if p]
     logs = [math.log(abs(int(p))) for p in offs if p]
     return sum(terms) + sum(float(t) * math.expm1((q - j2) * lg)
                             for t, lg in zip(terms, logs))

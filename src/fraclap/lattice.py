@@ -188,19 +188,26 @@ def _level_sum(u, x, p, offs, w, square):
     _levels sums the levels where that is below the direct difference's
     rounding eps sum|w| max(|u(x)|, 1) in closed form, one geometric
     series a^((j - delta)s) per power step^j; the rest are differences.
+    A value past the doubles raises QuadratureError.
     """
     k = next(q for q in range(len(offs)) if stencil_moment(offs, w, q))
     w_sum = float(np.sum(np.abs(w)))
     sup_u = max(abs(u(np.atleast_1d(np.asarray(x, dtype=float)))), 1.0)
     e = min(k + 30, max(k, u.max_line_deriv) + 1)
     c, rem = _series(u, x, offs, w, range(k, e))
-    top, s_pos, total = _levels(
-        p, p.h, np.array(list(c), dtype=float), np.array(list(c.values())),
-        rem, e, np.finfo(float).eps * w_sum * sup_u,
-        (2 if square else 1) * math.log(w_sum * sup_u), square)
-    for s in range(top + 1, s_pos + 1):
-        diff = complex(w @ u.on_ray(x, np.ones(1), offs * (p.h * p.a ** s)))
-        total += p.a ** (-p.delta * s) * (diff.real ** 2 if square else diff)
+    a = np.float64(p.a)
+    with np.errstate(all="ignore"):     # a non-finite total is refused
+        top, s_pos, total = _levels(
+            p, p.h, np.array(list(c), dtype=float),
+            np.array(list(c.values())), rem, e,
+            np.finfo(float).eps * w_sum * sup_u,
+            (2 if square else 1) * math.log(w_sum * sup_u), square)
+        for s in range(top + 1, s_pos + 1):
+            diff = complex(w @ u.on_ray(x, np.ones(1), offs * (p.h * a ** s)))
+            total += a ** (-p.delta * s) * (diff.real ** 2 if square
+                                            else diff)
+    if not cmath.isfinite(total):
+        raise QuadratureError("the level sum's value is not finite")
     return total
 
 

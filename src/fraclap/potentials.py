@@ -1,35 +1,27 @@
-"""Quadratic lattice potentials and their continuum eigenvalues.
+"""Quadratic lattice potentials as symmetric lag stencils.
 
-A stiffness matrix couples sites p, q through |p - q|-dependent
-generators.  Rescaling the quadratic form into the singular-integral
-normal form produces the scaling factor A_V = (1/2) sum V_pq |p-q|^alpha,
-and on plane waves the induced operator has eigenvalue
-(A_V / C_standard(n, alpha)) k^alpha, which is <= 0 whenever the
-potential is admissible at that alpha.
+A translation-invariant quadratic potential (1/2) sum_pq V_(p-q) u_p u_q is
+its lag stencil (offs, w): offs = -L..L, w symmetric with sum zero, w_d
+the coupling at lag d per site.  The nearest-neighbour spring is
+(-1, 2, -1), the negation of constants.diff_weights(1), and the order-m
+difference energy [(D - 1)^m u]^2 induces the negation of diff_weights(m).
+
+Every derived number is a constants.stencil_moment.  Rescaling the
+potential into the singular-integral normal form produces the scaling
+factor A_V = sum_(d>0) w_d d^alpha; the admissible order is the first
+nonzero even moment; and on plane waves the induced operator has
+eigenvalue (A_V / C_standard(n, alpha)) k^alpha, which is <= 0 whenever
+the potential is admissible at that alpha.  For the induced difference
+potential in 1-D it is -(1/2) U(1, alpha) V(m, alpha) k^alpha, with V the
+radial constant of the same stencil.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import DomainError, c_standard, forward_weights
-
-
-class StiffnessMatrix:
-    """Symmetric matrix V_pq = g_|p-q| built from Toeplitz generators."""
-
-    def __init__(self, generators):
-        g = np.asarray(generators, dtype=float).ravel()
-        if g.size < 2:
-            raise DomainError("need at least two generators")
-        self.generators = g
-        m = g.size
-        idx = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
-        self.matrix = g[idx]
-
-    @property
-    def size(self):
-        return self.generators.size
+from .constants import DomainError, c_standard, diff_weights, stencil_moment
 
 
 @dataclass
@@ -39,63 +31,74 @@ class ValidationReport:
     eigenvalues: np.ndarray | None = None
 
 
+def _stencil(v):
+    """(offs, w) of a lag stencil v; DomainError for anything else."""
+    try:
+        offs, w = (np.asarray(a, dtype=float) for a in v)
+    except (TypeError, ValueError):
+        raise DomainError("a potential is a lag stencil (offs, w)") from None
+    half = offs.size // 2
+    if (w.shape != offs.shape or half < 1
+            or not np.array_equal(offs, np.arange(-half, half + 1))):
+        raise DomainError("a lag stencil needs offsets -L..L, L >= 1, "
+                          "and one weight per offset")
+    if not np.all(np.isfinite(w)):
+        raise DomainError("the stencil's weights must be finite")
+    return offs.astype(int), w
+
+
 def validate_stiffness(v, atol=1e-10):
     """Check symmetry, translational invariance and positivity.
 
-    Requires: symmetric; total sum zero with the constant vector in the
-    kernel; positive semidefinite with a one-dimensional kernel.
+    Requires w symmetric with sum zero (within atol relative to sum|w|),
+    and the eigenvalues sum_d w_d cos(2 pi k d / (2L+1)) of the stencil's
+    (2L+1)-site ring >= 0 with one zero, at k = 0 (the constants).  An
+    eigenvalue is zero within the rounding of its sum, 50 eps sum|w|.
     """
-    mat = v.matrix if isinstance(v, StiffnessMatrix) else np.asarray(v, float)
+    offs, w = _stencil(v)
+    scale = float(np.sum(np.abs(w)))
     fails = []
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        return ValidationReport(False, ["not a square matrix"])
-    if not np.allclose(mat, mat.T, atol=atol):
+    if not np.allclose(w, w[::-1], rtol=0.0, atol=atol * scale):
         fails.append("not symmetric")
-    scale = max(np.max(np.abs(mat)), 1.0)
-    ones = np.ones(mat.shape[0])
-    if abs(ones @ mat @ ones) > atol * scale * mat.size:
+    if abs(np.sum(w)) > atol * scale:
         fails.append("total sum nonzero (not translation invariant)")
-    if np.max(np.abs(mat @ ones)) > atol * scale * mat.shape[0]:
-        fails.append("constant vector not in the kernel")
-    w = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    if w[0] < -atol * scale:
+    k = np.arange(offs.size)
+    lam = np.cos(2.0 * math.pi / offs.size * np.outer(k, offs)) @ w
+    tiny = 50.0 * np.finfo(float).eps * scale
+    if lam.min() < -tiny:
         fails.append("not positive semidefinite")
-    nker = int(np.sum(np.abs(w) <= atol * scale * 10.0))
-    if nker != 1:
-        fails.append("kernel dimension %d, expected 1" % nker)
-    return ValidationReport(not fails, fails, w)
+    zero = np.abs(lam) <= tiny
+    if zero.sum() != 1 or not zero[0]:
+        fails.append("kernel dimension %d, expected 1 (the constants)"
+                     % zero.sum())
+    return ValidationReport(not fails, fails, lam)
 
 
 def scaling_factor(v, alpha):
-    """A_V = (1/2) sum_pq V_pq |p - q|^alpha."""
+    """A_V = sum_(d>0) w_d d^alpha: the half stencil's moment, so an odd
+    integer alpha is not the signed (zero) moment of the full stencil."""
     if alpha <= 0.0:
         raise DomainError("alpha must be positive")
-    mat = v.matrix if isinstance(v, StiffnessMatrix) else np.asarray(v, float)
-    m = mat.shape[0]
-    d = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :]).astype(float)
-    powd = np.where(d > 0.0, d ** alpha, 0.0)
-    return 0.5 * float(np.sum(mat * powd))
+    offs, w = _stencil(v)
+    return float(stencil_moment(offs[offs > 0], w[offs > 0], alpha))
 
 
 def admissible_order(v, atol=1e-10):
-    """Largest even 2j with vanishing |p-q| moments below it.
+    """The first even q >= 2 with a nonzero moment M_q (relative to atol
+    times sum |w_p| |p|^q), at most 2L; inf for the zero stencil.
 
-    The quadratic form is admissible for fractional alpha < 2j; a plain
-    zero-sum potential gives 2, one whose second moment also vanishes
-    gives 4, and so on.
+    The potential is admissible for fractional alpha < q: a plain
+    nearest-neighbour spring gives 2, the order-m difference energy 2m.
     """
-    mat = v.matrix if isinstance(v, StiffnessMatrix) else np.asarray(v, float)
-    scale = max(np.max(np.abs(mat)), 1.0)
-    order = 2
-    for j in range(1, 5):
-        if abs(scaling_factor(mat, 2.0 * j)) > atol * scale:
-            break
-        order = 2 * (j + 1)
-    return order
+    offs, w = _stencil(v)
+    return next((q for q in range(2, offs.size, 2)
+                 if abs(stencil_moment(offs, w, q))
+                 > atol * stencil_moment(np.abs(offs), np.abs(w), q)),
+                math.inf)
 
 
-def potential_eigenvalue(v, alpha, k, n=1, validate=True):
-    """Plane-wave eigenvalue (A_V / C_standard) k^alpha of the potential.
+def potential_eigenvalue(v, alpha, k, n=1):
+    """Plane-wave eigenvalue (A_V / C_standard) k^alpha of a valid potential.
 
     alpha must be fractional (C_standard vanishes at even integers) and
     below the admissible order of the potential.
@@ -106,47 +109,33 @@ def potential_eigenvalue(v, alpha, k, n=1, validate=True):
     if c == 0.0:
         raise DomainError("even integer alpha: distributional regime, "
                           "no singular-integral eigenvalue")
-    if validate:
-        rep = validate_stiffness(v)
-        if not rep.valid:
-            raise DomainError("invalid stiffness matrix: "
-                              + "; ".join(rep.failures))
-        if alpha >= admissible_order(v):
-            raise DomainError("alpha = %g beyond the admissible order %d "
-                              "of this potential" % (alpha, admissible_order(v)))
+    rep = validate_stiffness(v)
+    if not rep.valid:
+        raise DomainError("invalid potential: " + "; ".join(rep.failures))
+    order = admissible_order(v)
+    if alpha >= order:
+        raise DomainError("alpha = %g beyond the admissible order %d "
+                          "of this potential" % (alpha, order))
     return scaling_factor(v, alpha) / c * k ** alpha
 
 
 def induced_difference_matrix(m):
-    """Rank-one potential from expanding the order-m difference energy.
+    """Lag stencil of the order-m difference energy [(D - 1)^m u]^2.
 
-    [(D-1)^m u]^2 = sum_pq c_p c_q u_p u_q with c the forward stencil
-    (-1)^(m-j) C(m, j) of constants.forward_weights;
-    zero-sum and PSD, but its kernel has dimension m, so it passes only
-    the relaxed (validate=False) eigenvalue route for m > 1.
+    The autocorrelation of constants.forward_weights(m), which is the
+    negation of diff_weights(m): symmetric, zero-sum, admissible below 2m.
     """
-    if not isinstance(m, int) or m < 1:
-        raise DomainError("m must be a positive integer")
-    c = forward_weights(m)[1]
-    return np.outer(c, c)
+    offs, w = diff_weights(m)
+    return offs, -w
 
 
 def ring_potential(weights):
-    """Valid stiffness matrix from nonnegative ring-spring weights.
-
-    weights[d-1] couples sites at lag d on a ring of M = len(weights)*2+1
-    sites; the result is a symmetric circulant, hence Toeplitz in |p-q|,
-    zero row sums, PSD, kernel spanned by the constants when the lag-1
-    weight is positive.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size < 1 or np.any(w < 0.0) or w[0] <= 0.0:
-        raise DomainError("need nonnegative weights with weights[0] > 0")
-    mm = 2 * w.size + 1
-    mat = np.zeros((mm, mm))
-    for d, wd in enumerate(w, start=1):
-        for p in range(mm):
-            mat[p, p] += 2.0 * wd
-            mat[p, (p + d) % mm] -= wd
-            mat[p, (p - d) % mm] -= wd
-    return mat
+    """Lag stencil of springs weights[d-1] >= 0 at lag d: w_0 = 2 sum
+    weights, w_(+-d) = -weights[d-1].  With weights[0] > 0 it is valid."""
+    g = np.asarray(weights, dtype=float)
+    if (g.ndim != 1 or g.size < 1 or not np.all(np.isfinite(g))
+            or np.any(g < 0.0) or g[0] <= 0.0):
+        raise DomainError("need finite nonnegative weights with "
+                          "weights[0] > 0")
+    return (np.arange(-g.size, g.size + 1),
+            np.concatenate([-g[::-1], [2.0 * np.sum(g)], -g]))

@@ -158,16 +158,19 @@ def test_criterion_7_regularized_kernel_moments():
 
 
 def _stencil_matrix(rng, rows=4):
-    """Random PSD zero-row-sum matrix admissible on 2 < alpha < 4."""
+    """Lag stencil of a random PSD zero-row-sum matrix admissible on
+    2 < alpha < 4: the diagonal sums of b^T b."""
     b = np.zeros((rows, rows + 2))
     for r in range(rows):
         b[r, r:r + 3] = rng.uniform(0.2, 1.0) * np.array([1.0, -2.0, 1.0])
-    return b.T @ b
+    mat = b.T @ b
+    offs = np.arange(-rows - 1, rows + 2)
+    return offs, np.array([np.trace(mat, d) for d in offs])
 
 
 def test_criterion_8_lattice_potentials():
     """Potentials reproduce the continuum normalization and signs."""
-    ref = potential_eigenvalue([[1.0, -1.0], [-1.0, 1.0]], 1.0, 1.0)
+    ref = potential_eigenvalue(ring_potential([1.0]), 1.0, 1.0)
     ref_err = abs(ref + math.pi)
     route = -0.5 * unit_sphere_moment(1, 1.0) * v_integral_quadrature(1, 1.0)
     route_err = abs(ref - route)

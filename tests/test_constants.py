@@ -118,6 +118,15 @@ class TestStencil:
         assert moments[:-1] == [0] * order
         assert abs(moments[-1]) == math.factorial(order)
 
+    def test_fractional_weights(self):
+        # integer-valued weights sum in Python integers, any other as a
+        # float: a half weight is not truncated to 0
+        offs, w = [-1, 0, 1], [0.5, -1.0, 0.5]
+        assert stencil_moment(offs, w, 2) == 1.0
+        assert stencil_moment(offs, w, 2.5) == 1.0
+        assert stencil_moment([1, 2], [0.25, 0.5], 1.5) == pytest.approx(
+            0.25 + 0.5 * 2.0 ** 1.5, rel=1e-15)
+
     @pytest.mark.parametrize("stencil,order", STENCILS)
     def test_small_step_series_is_the_difference(self, stencil, order):
         # at step 0.01 the lattice's series, orders k to k + 29, is within

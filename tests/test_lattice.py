@@ -15,6 +15,7 @@ from fraclap.fields import Gaussian, PlaneWave, UserField
 from fraclap.lattice import (SelfSimilarParams, selfsim_laplacian,
                              wm_dispersion, wm_energy_density,
                              wm_limit_amplitude)
+from fraclap.quad import QuadratureError
 
 # 2*pi to 85 digits, as an exact rational: the phase reduction the
 # integer recurrence replaced, kept as its reference
@@ -358,6 +359,18 @@ class TestWmEnergyDensity:
         e1 = wm_energy_density(u, x, p1)
         e2 = wm_energy_density(u, x, p2)
         assert e2 == pytest.approx(1.5 ** 0.7 * e1, rel=1e-9)
+
+
+@pytest.mark.parametrize("level_sum", [selfsim_laplacian, wm_energy_density])
+def test_field_sum_past_the_doubles(level_sum):
+    # at h = 1e300 the direct levels reach far below s = 0, where the
+    # weight a^(-delta*s) and the closed form's terms overflow: one
+    # QuadratureError, and no warning on the way
+    p = SelfSimilarParams(delta=1.5, a=1.5, h=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="not finite"):
+            level_sum(Gaussian(1.0), np.array([0.3]), p)
 
 
 class TestWmLimitAmplitude:
